@@ -135,35 +135,22 @@ void BM_LstmCellStep(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmCellStep)->Arg(32)->Arg(384);
 
-void BM_LstmCellStepFused(benchmark::State& state) {
-  // The same step on the fused AddNBiasAct + LstmPointwise graph (what
-  // training runs with --tape): two pointwise nodes instead of the ~15-node
-  // eager gate chain, bitwise identical output.
-  const int64_t batch = state.range(0);
-  Rng rng(3);
-  rrre::nn::LstmCell cell(16, 16, rng);
-  Tensor x = Tensor::Randn({batch, 16}, rng);
-  auto st = cell.InitialState(batch);
-  rrre::tensor::SetFusionEnabled(true);
+void BM_BiLstmEncodeReview(benchmark::State& state) {
+  // One RRRE batch worth of reviews: 384 slots x 16 tokens x 16 dims, as
+  // the time-major [16*384, 16] input ReviewEncoder builds. Arg 0 is the
+  // eager per-step chain; arg 1 the fused graph training runs with --tape,
+  // one LstmSequence node per direction, bitwise identical output.
+  const bool fused = state.range(0) != 0;
+  Rng rng(4);
+  rrre::nn::BiLstmEncoder enc(16, 16, rng);
+  Tensor x = Tensor::Randn({16 * 384, 16}, rng);
+  rrre::tensor::SetFusionEnabled(fused);
   for (auto _ : state) {
-    auto next = cell.Step(x, st);
-    benchmark::DoNotOptimize(next.h.data());
+    benchmark::DoNotOptimize(enc.Encode(x, 16).data());
   }
   rrre::tensor::SetFusionEnabled(false);
 }
-BENCHMARK(BM_LstmCellStepFused)->Arg(32)->Arg(384);
-
-void BM_BiLstmEncodeReview(benchmark::State& state) {
-  // One RRRE batch worth of reviews: 384 slots x 16 tokens x 16 dims.
-  Rng rng(4);
-  rrre::nn::BiLstmEncoder enc(16, 16, rng);
-  std::vector<Tensor> steps;
-  for (int t = 0; t < 16; ++t) steps.push_back(Tensor::Randn({384, 16}, rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.Encode(steps).data());
-  }
-}
-BENCHMARK(BM_BiLstmEncodeReview);
+BENCHMARK(BM_BiLstmEncodeReview)->Arg(0)->Arg(1);
 
 void BM_FraudAttention(benchmark::State& state) {
   Rng rng(5);

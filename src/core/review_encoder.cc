@@ -1,7 +1,6 @@
 #include "core/review_encoder.h"
 
 #include "common/logging.h"
-#include "tensor/ops.h"
 
 namespace rrre::core {
 
@@ -25,18 +24,16 @@ Tensor ReviewEncoder::Encode(const std::vector<int64_t>& token_ids,
                              int64_t num_slots) const {
   RRRE_CHECK_EQ(static_cast<int64_t>(token_ids.size()),
                 num_slots * max_tokens_);
-  // One embedding lookup per timestep over the whole slot batch.
-  std::vector<Tensor> steps;
-  steps.reserve(static_cast<size_t>(max_tokens_));
-  std::vector<int64_t> step_ids(static_cast<size_t>(num_slots));
+  // One embedding lookup for every token, time-major: row t*num_slots + s is
+  // token t of slot s, so step t is a contiguous row block.
+  std::vector<int64_t> ids(token_ids.size());
   for (int64_t t = 0; t < max_tokens_; ++t) {
     for (int64_t s = 0; s < num_slots; ++s) {
-      step_ids[static_cast<size_t>(s)] =
+      ids[static_cast<size_t>(t * num_slots + s)] =
           token_ids[static_cast<size_t>(s * max_tokens_ + t)];
     }
-    steps.push_back(word_embedding_->Forward(step_ids));
   }
-  return encoder_.Encode(steps);
+  return encoder_.Encode(word_embedding_->Forward(ids), max_tokens_);
 }
 
 }  // namespace rrre::core

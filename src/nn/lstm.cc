@@ -1,5 +1,7 @@
 #include "nn/lstm.h"
 
+#include <vector>
+
 #include "tensor/ops.h"
 #include "tensor/tape.h"
 
@@ -29,14 +31,6 @@ LstmCell::State LstmCell::InitialState(int64_t batch) const {
 LstmCell::State LstmCell::Step(const Tensor& x, const State& state) const {
   RRRE_CHECK_EQ(x.dim(1), input_size_);
   using namespace tensor;  // NOLINT(build/namespaces) - op-heavy function.
-  if (FusionEnabled()) {
-    // Fused gate block: 2 nodes instead of 10, bitwise identical to the
-    // eager chain below (tests/test_kernels.cc, LstmFusedMatchesEager).
-    Tensor pre = AddNBiasAct({MatMul(x, w_ih_), MatMul(state.h, w_hh_)},
-                             bias_, Activation::kNone);
-    LstmStepOut out = LstmPointwise(pre, state.c);
-    return State{out.h, out.c};
-  }
   Tensor pre = AddBias(Add(MatMul(x, w_ih_), MatMul(state.h, w_hh_)), bias_);
   const int64_t h = hidden_size_;
   Tensor i = Sigmoid(SliceCols(pre, 0, h));
@@ -48,6 +42,11 @@ LstmCell::State LstmCell::Step(const Tensor& x, const State& state) const {
   return State{h_next, c_next};
 }
 
+Tensor LstmCell::Sequence(const Tensor& x, int64_t num_steps,
+                          bool reverse) const {
+  return tensor::LstmSequence(x, w_ih_, w_hh_, bias_, num_steps, reverse);
+}
+
 BiLstmEncoder::BiLstmEncoder(int64_t input_size, int64_t hidden_size,
                              common::Rng& rng)
     : forward_(input_size, hidden_size, rng),
@@ -56,11 +55,27 @@ BiLstmEncoder::BiLstmEncoder(int64_t input_size, int64_t hidden_size,
   RegisterModule("bwd", &backward_);
 }
 
-Tensor BiLstmEncoder::Encode(const std::vector<Tensor>& steps) const {
-  RRRE_CHECK(!steps.empty());
-  const int64_t batch = steps[0].dim(0);
+Tensor BiLstmEncoder::Encode(const Tensor& x, int64_t num_steps) const {
+  if (tensor::FusionEnabled()) {
+    // Bitwise identical to the chains below (tests/test_kernels.cc,
+    // ReviewEncoderBitwise).
+    return tensor::ConcatCols(
+        {forward_.Sequence(x, num_steps, /*reverse=*/false),
+         backward_.Sequence(x, num_steps, /*reverse=*/true)});
+  }
+  RRRE_CHECK_GT(num_steps, 0);
+  RRRE_CHECK_EQ(x.dim(0) % num_steps, 0);
+  const int64_t batch = x.dim(0) / num_steps;
+  // One slice per step, read by both directions: each step input's grad
+  // sums the backward direction's term, then the forward one, exactly as
+  // the fused nodes' shared x does.
+  std::vector<Tensor> steps;
+  steps.reserve(static_cast<size_t>(num_steps));
+  for (int64_t t = 0; t < num_steps; ++t) {
+    steps.push_back(tensor::SliceRows(x, t * batch, batch));
+  }
   LstmCell::State fwd = forward_.InitialState(batch);
-  for (const Tensor& x : steps) fwd = forward_.Step(x, fwd);
+  for (const Tensor& step : steps) fwd = forward_.Step(step, fwd);
   LstmCell::State bwd = backward_.InitialState(batch);
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
     bwd = backward_.Step(*it, bwd);

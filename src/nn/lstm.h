@@ -1,8 +1,7 @@
 #ifndef RRRE_NN_LSTM_H_
 #define RRRE_NN_LSTM_H_
 
-#include <utility>
-#include <vector>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "nn/module.h"
@@ -24,8 +23,15 @@ class LstmCell : public Module {
   /// Zero state for a batch.
   State InitialState(int64_t batch) const;
 
-  /// One timestep: x [batch, input] + state -> next state.
+  /// One timestep: x [batch, input] + state -> next state, as the eager
+  /// per-op chain.
   State Step(const tensor::Tensor& x, const State& state) const;
+
+  /// The whole Step chain from the zero state as one tensor::LstmSequence
+  /// node: x is time-major [T*S, input], walked in ascending t (descending
+  /// when `reverse`). Returns the final hidden state [S, hidden].
+  tensor::Tensor Sequence(const tensor::Tensor& x, int64_t num_steps,
+                          bool reverse) const;
 
   int64_t hidden_size() const { return hidden_size_; }
 
@@ -45,9 +51,12 @@ class BiLstmEncoder : public Module {
   /// output dim = 2 * hidden_size.
   BiLstmEncoder(int64_t input_size, int64_t hidden_size, common::Rng& rng);
 
-  /// steps[t] is the batch input at time t: [batch, input]. All steps must
-  /// share the batch size. Returns [batch, 2*hidden].
-  tensor::Tensor Encode(const std::vector<tensor::Tensor>& steps) const;
+  /// x is time-major [T*batch, input]: rows [t*batch, (t+1)*batch) are the
+  /// inputs at time t. Returns [batch, 2*hidden]. With
+  /// tensor::FusionEnabled() each direction is one LstmSequence node;
+  /// otherwise both directions run the eager Step chain over the same row
+  /// slices of x, the bitwise reference the fused graph reproduces.
+  tensor::Tensor Encode(const tensor::Tensor& x, int64_t num_steps) const;
 
   int64_t output_size() const { return 2 * forward_.hidden_size(); }
 

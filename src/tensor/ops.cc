@@ -36,6 +36,10 @@ int64_t RowGrain(int64_t cost_per_row) {
   return std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, cost_per_row));
 }
 
+/// Weight of one libm transcendental (expf, tanhf) in cheap elementwise
+/// ops, for sizing the chunks of kernels whose cost is those calls.
+constexpr int64_t kTranscendentalCost = 16;
+
 /// Packs a float op constant into a replay-verified attr word. Bit pattern,
 /// not value, so e.g. -0.0f vs 0.0f scales are distinguished.
 uint64_t FloatBits(float v) {
@@ -1336,121 +1340,254 @@ Tensor AddNBiasAct(const std::vector<Tensor>& parts, const Tensor& bias,
   return Tensor::WrapImpl(out);
 }
 
-LstmStepOut LstmPointwise(const Tensor& pre, const Tensor& c_prev) {
-  RRRE_CHECK_EQ(pre.ndim(), 2);
-  RRRE_CHECK_EQ(c_prev.ndim(), 2);
-  const int64_t bsz = pre.dim(0);
-  const int64_t hs = c_prev.dim(1);
-  RRRE_CHECK_EQ(pre.dim(1), 4 * hs);
-  RRRE_CHECK_EQ(c_prev.dim(0), bsz);
+namespace {
+
+/// Float offsets into an LstmSequence node's scratch. Per-step blocks
+/// indexed by time t sit at the rows of x they belong to (so the hoisted
+/// GEMMs see one contiguous [T*S, .] matrix); the h/c chains are indexed by
+/// recurrence step, slot 0 holding the zero initial state. The backward
+/// workspace is only laid out when the node requires grad.
+struct LstmSequenceLayout {
+  LstmSequenceLayout(int64_t steps, int64_t bsz, int64_t hs, bool backward) {
+    const int64_t rows = steps * bsz;
+    const int64_t g4 = 4 * hs;
+    const int64_t bh = bsz * hs;
+    int64_t at = 0;
+    auto take = [&at](int64_t n) {
+      const int64_t off = at;
+      at += n;
+      return off;
+    };
+    gates = take(rows * g4);
+    tanh_c = take(rows * hs);
+    h = take((steps + 1) * bh);
+    c = take((steps + 1) * bh);
+    hw = take(bsz * g4);
+    if (backward) {
+      dpre = take(rows * g4);
+      dh = take(2 * bh);
+      dc = take(bh);
+      part = take(g4);
+    }
+    total = at;
+  }
+
+  int64_t gates;   ///< [T*S, 4H]: x·W_ih, then i, f, g, o in place.
+  int64_t tanh_c;  ///< [T*S, H]
+  int64_t h;       ///< [(T+1)*S, H]
+  int64_t c;       ///< [(T+1)*S, H]
+  int64_t hw;      ///< [S, 4H]: the step's h·W_hh.
+  int64_t dpre = 0;  ///< [T*S, 4H]: gate pre-activation grads.
+  int64_t dh = 0;    ///< [2*S, H]: ping-pong h grads.
+  int64_t dc = 0;    ///< [S, H]
+  int64_t part = 0;  ///< [4H]: one bias chunk partial.
+  int64_t total;
+};
+
+}  // namespace
+
+Tensor LstmSequence(const Tensor& x, const Tensor& w_ih, const Tensor& w_hh,
+                    const Tensor& bias, int64_t num_steps, bool reverse) {
+  obs::TraceSpan span("lstm_sequence");
+  RRRE_CHECK_EQ(x.ndim(), 2);
+  RRRE_CHECK_EQ(w_ih.ndim(), 2);
+  RRRE_CHECK_EQ(w_hh.ndim(), 2);
+  RRRE_CHECK_EQ(bias.ndim(), 1);
+  RRRE_CHECK_GT(num_steps, 0);
+  RRRE_CHECK_EQ(x.dim(0) % num_steps, 0)
+      << "LstmSequence rows " << x.dim(0) << " not a multiple of "
+      << num_steps << " steps";
+  const int64_t bsz = x.dim(0) / num_steps;
+  const int64_t d = x.dim(1);
+  const int64_t hs = w_hh.dim(0);
+  const int64_t g4 = 4 * hs;
+  RRRE_CHECK_EQ(w_ih.dim(0), d);
+  RRRE_CHECK_EQ(w_ih.dim(1), g4);
+  RRRE_CHECK_EQ(w_hh.dim(1), g4);
+  RRRE_CHECK_EQ(bias.dim(0), g4);
+  const int64_t rows = num_steps * bsz;
   const int64_t bh = bsz * hs;
 
-  // Two nodes: c feeds the next step, h feeds the rest of the model. The
-  // gate activations and tanh(c) are stashed on the c node's scratch
-  // ([i | f | g | o | tanh(c)] blocks of B*H) for both backward closures.
-  auto c_node = MakeNode("lstm_c", {bsz, hs}, {pre, c_prev});
-  c_node->scratch.assign(static_cast<size_t>(5 * bh), 0.0f);
-  const float* pp = pre.data();
-  const float* pcp = c_prev.data();
-  float* pc = c_node->data.data();
-  float* stash = c_node->scratch.data();
-  ParallelFor(0, bsz, RowGrain(4 * hs), [=](int64_t lo, int64_t hi) {
-    for (int64_t bi = lo; bi < hi; ++bi) {
-      const float* prow = pp + bi * 4 * hs;
-      for (int64_t j = 0; j < hs; ++j) {
-        const int64_t idx = bi * hs + j;
-        const float iv = StableSigmoid(prow[j]);
-        const float fv = StableSigmoid(prow[hs + j]);
-        const float gv = std::tanh(prow[2 * hs + j]);
-        const float ov = StableSigmoid(prow[3 * hs + j]);
-        // c = (f*c_prev) + (i*g), two rounded products then one add —
-        // exactly the eager Add(Mul(f, c), Mul(i, g)).
-        const float t1 = fv * pcp[idx];
-        const float t2 = iv * gv;
-        const float cv = t1 + t2;
-        pc[idx] = cv;
-        stash[idx] = iv;
-        stash[bh + idx] = fv;
-        stash[2 * bh + idx] = gv;
-        stash[3 * bh + idx] = ov;
-        stash[4 * bh + idx] = std::tanh(cv);
+  // attr pins the step count and direction the closure walks by.
+  auto out = MakeNode("lstm_sequence", {bsz, hs}, {x, w_ih, w_hh, bias},
+                      (static_cast<uint64_t>(num_steps) << 1) |
+                          (reverse ? 1u : 0u));
+  const LstmSequenceLayout lay(num_steps, bsz, hs, out->requires_grad);
+  out->scratch.resize(static_cast<size_t>(lay.total));
+  float* st = out->scratch.data();
+  float* gates = st + lay.gates;
+  float* tanh_c = st + lay.tanh_c;
+  float* hbuf = st + lay.h;
+  float* cbuf = st + lay.c;
+  float* hw = st + lay.hw;
+
+  // GEMMs accumulate, so every output block starts zeroed, as a fresh node
+  // buffer would.
+  std::fill(gates, gates + rows * g4, 0.0f);
+  ShardedGemm(false, false, rows, g4, d, x.data(), d, w_ih.data(), g4, gates,
+              g4);
+  std::fill(hbuf, hbuf + bh, 0.0f);
+  std::fill(cbuf, cbuf + bh, 0.0f);
+  const float* pb = bias.data();
+  for (int64_t step = 0; step < num_steps; ++step) {
+    const int64_t t = reverse ? num_steps - 1 - step : step;
+    float* gt = gates + t * bsz * g4;
+    float* tc = tanh_c + t * bh;
+    const float* c_prev = cbuf + step * bh;
+    float* c_next = cbuf + (step + 1) * bh;
+    float* h_next = hbuf + (step + 1) * bh;
+    // Step 0 multiplies the zero state too, exactly like the eager chain.
+    std::fill(hw, hw + bsz * g4, 0.0f);
+    ShardedGemm(false, false, bsz, g4, hs, hbuf + step * bh, hs, w_hh.data(),
+                g4, hw, g4);
+    // A row's cost is its 5H libm calls (three sigmoids, two tanh).
+    const int64_t grain = RowGrain(5 * hs * kTranscendentalCost);
+    ParallelFor(0, bsz, grain, [=](int64_t lo, int64_t hi) {
+      for (int64_t r = lo; r < hi; ++r) {
+        float* grow = gt + r * g4;
+        const float* hwrow = hw + r * g4;
+        // (x·W_ih + h·W_hh) + b: AddNBiasAct's two roundings.
+        for (int64_t q = 0; q < g4; ++q) grow[q] = (grow[q] + hwrow[q]) + pb[q];
+        for (int64_t j = 0; j < hs; ++j) {
+          const int64_t idx = r * hs + j;
+          const float iv = StableSigmoid(grow[j]);
+          const float fv = StableSigmoid(grow[hs + j]);
+          const float gv = std::tanh(grow[2 * hs + j]);
+          const float ov = StableSigmoid(grow[3 * hs + j]);
+          grow[j] = iv;
+          grow[hs + j] = fv;
+          grow[2 * hs + j] = gv;
+          grow[3 * hs + j] = ov;
+          // c = (f*c_prev) + (i*g): two rounded products, one add.
+          const float t1 = fv * c_prev[idx];
+          const float t2 = iv * gv;
+          const float cv = t1 + t2;
+          c_next[idx] = cv;
+          tc[idx] = std::tanh(cv);
+          h_next[idx] = ov * tc[idx];
+        }
       }
-    }
-  });
+    });
+  }
+  std::copy(hbuf + num_steps * bh, hbuf + (num_steps + 1) * bh,
+            out->data.begin());
 
-  auto h_node =
-      MakeNode("lstm_h", {bsz, hs}, {pre, Tensor::WrapImpl(c_node)});
-  float* ph = h_node->data.data();
-  ParallelFor(0, bh, kElemGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      ph[idx] = stash[3 * bh + idx] * stash[4 * bh + idx];
-    }
-  });
-
-  if (h_node->requires_grad && !h_node->tape_wired) {
+  if (out->requires_grad && !out->tape_wired) {
     BatchTape::NoteClosureAlloc();
-    TensorImpl* hn = h_node.get();
-    TensorImpl* cn = c_node.get();
-    TensorImpl* ipre = pre.impl().get();
-    h_node->backward_fn = [hn, cn, ipre, bsz, hs, bh]() {
-      const float* gh = hn->grad.data();
-      const float* st = cn->scratch.data();
-      float* gpre = GradBuf(ipre);
-      float* gc = GradBuf(cn);
-      ParallelFor(0, bsz, RowGrain(hs), [=](int64_t lo, int64_t hi) {
-        for (int64_t bi = lo; bi < hi; ++bi) {
-          for (int64_t j = 0; j < hs; ++j) {
-            const int64_t idx = bi * hs + j;
-            const float g = gh[idx];
-            const float ov = st[3 * bh + idx];
-            const float tc = st[4 * bh + idx];
-            if (gpre != nullptr) {
-              // (gh*tc) is the eager Mul node's stored g_o; then the
-              // sigmoid derivative from the output value.
-              gpre[bi * 4 * hs + 3 * hs + j] +=
-                  (g * tc) * (ov * (1.0f - ov));
+    TensorImpl* o = out.get();
+    TensorImpl* ix = x.impl().get();
+    TensorImpl* iwih = w_ih.impl().get();
+    TensorImpl* iwhh = w_hh.impl().get();
+    TensorImpl* ib = bias.impl().get();
+    out->backward_fn = [o, ix, iwih, iwhh, ib, num_steps, bsz, d, hs,
+                        reverse]() {
+      // The eager chain's reverse-topological schedule, reproduced buffer by
+      // buffer: every eager grad buffer starts zeroed and takes `+=`, and the
+      // contributions to each shared buffer (bias, W_hh, W_ih, x) land in the
+      // same order and grouping. Intermediate grads the eager graph holds in
+      // separate nodes (the two GEMM operands of AddNBiasAct, c's grad) are
+      // bitwise copies of dpre / dc here.
+      const int64_t g4 = 4 * hs;
+      const int64_t bh = bsz * hs;
+      const int64_t rows = num_steps * bsz;
+      const LstmSequenceLayout lay(num_steps, bsz, hs, /*backward=*/true);
+      float* st = o->scratch.data();
+      const float* gates = st + lay.gates;
+      const float* tanh_c = st + lay.tanh_c;
+      const float* hbuf = st + lay.h;
+      const float* cbuf = st + lay.c;
+      float* dpre = st + lay.dpre;
+      float* dh = st + lay.dh;
+      float* dc = st + lay.dc;
+      float* part = st + lay.part;
+      const float* px = ix->data.data();
+      const float* pwih = iwih->data.data();
+      const float* pwhh = iwhh->data.data();
+      float* gx = GradBuf(ix);
+      float* gwih = GradBuf(iwih);
+      float* gwhh = GradBuf(iwhh);
+      float* gb = GradBuf(ib);
+      std::fill(dpre, dpre + rows * g4, 0.0f);
+      std::fill(dc, dc + bh, 0.0f);
+      const float* dh_cur = o->grad.data();
+      for (int64_t step = num_steps - 1; step >= 0; --step) {
+        const int64_t t = reverse ? num_steps - 1 - step : step;
+        const float* gt = gates + t * bsz * g4;
+        const float* tc = tanh_c + t * bh;
+        const float* c_prev = cbuf + step * bh;
+        float* dp = dpre + t * bsz * g4;
+        ParallelFor(0, bsz, RowGrain(g4), [=](int64_t lo, int64_t hi) {
+          for (int64_t r = lo; r < hi; ++r) {
+            const float* grow = gt + r * g4;
+            float* drow = dp + r * g4;
+            for (int64_t j = 0; j < hs; ++j) {
+              const int64_t idx = r * hs + j;
+              const float iv = grow[j];
+              const float fv = grow[hs + j];
+              const float gv = grow[2 * hs + j];
+              const float ov = grow[3 * hs + j];
+              const float tcv = tc[idx];
+              // h = o*tanh(c): (gh*tanh c) and (gh*o) are the products the
+              // eager Mul node stores, then the activation derivatives.
+              const float g = dh_cur[idx];
+              drow[3 * hs + j] += (g * tcv) * (ov * (1.0f - ov));
+              dc[idx] += (g * ov) * (1.0f - tcv * tcv);
+              // c = f*c_prev + i*g, with dc complete: the next step's
+              // (g_c*f) landed first, this step's h term second.
+              const float gcv = dc[idx];
+              drow[j] += (gcv * gv) * (iv * (1.0f - iv));
+              drow[hs + j] += (gcv * c_prev[idx]) * (fv * (1.0f - fv));
+              drow[2 * hs + j] += (gcv * iv) * (1.0f - gv * gv);
+              // c_prev's grad, freshly zeroed: g_c*f is its first term.
+              dc[idx] = 0.0f + gcv * fv;
             }
-            // (gh*o) is the stored g_tanh(c); then the tanh derivative.
-            if (gc != nullptr) gc[idx] += (g * ov) * (1.0f - tc * tc);
+          }
+        });
+        if (gb != nullptr) {
+          // AddNBiasAct's bias reduction: partials over fixed-grain chunks
+          // of this step's rows, added in chunk order.
+          const int64_t grain = RowGrain(g4);
+          for (int64_t lo = 0; lo < bsz; lo += grain) {
+            const int64_t hi = std::min(bsz, lo + grain);
+            std::fill(part, part + g4, 0.0f);
+            for (int64_t r = lo; r < hi; ++r) {
+              for (int64_t q = 0; q < g4; ++q) part[q] += dp[r * g4 + q];
+            }
+            for (int64_t q = 0; q < g4; ++q) gb[q] += part[q];
           }
         }
-      });
-    };
-  }
-  if (c_node->requires_grad && !c_node->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* cn = c_node.get();
-    TensorImpl* ipre = pre.impl().get();
-    TensorImpl* icp = c_prev.impl().get();
-    c_node->backward_fn = [cn, ipre, icp, bsz, hs, bh]() {
-      // By topological order both consumers (this step's h, next step's c)
-      // have already deposited into cn->grad.
-      const float* gc = cn->grad.data();
-      const float* st = cn->scratch.data();
-      const float* pcp = icp->data.data();
-      float* gpre = GradBuf(ipre);
-      float* gcp = GradBuf(icp);
-      ParallelFor(0, bsz, RowGrain(hs), [=](int64_t lo, int64_t hi) {
-        for (int64_t bi = lo; bi < hi; ++bi) {
-          for (int64_t j = 0; j < hs; ++j) {
-            const int64_t idx = bi * hs + j;
-            const float g = gc[idx];
-            const float iv = st[idx];
-            const float fv = st[bh + idx];
-            const float gv = st[2 * bh + idx];
-            if (gpre != nullptr) {
-              float* prow = gpre + bi * 4 * hs;
-              prow[j] += (g * gv) * (iv * (1.0f - iv));
-              prow[hs + j] += (g * pcp[idx]) * (fv * (1.0f - fv));
-              prow[2 * hs + j] += (g * iv) * (1.0f - gv * gv);
-            }
-            if (gcp != nullptr) gcp[idx] += g * fv;
-          }
+        // h_prev·W_hh's MatMul backward: dh_prev (zeroed) and dW_hh. The
+        // initial state is a constant, so step 0 skips dh but, like the
+        // eager chain, still adds its zero-state product into dW_hh.
+        float* dh_prev = dh + (step & 1) * bh;
+        if (step > 0) {
+          std::fill(dh_prev, dh_prev + bh, 0.0f);
+          ShardedGemm(false, true, bsz, hs, g4, dp, g4, pwhh, g4, dh_prev, hs);
         }
-      });
+        if (gwhh != nullptr) {
+          ShardedGemm(true, false, hs, g4, bsz, hbuf + step * bh, hs, dp, g4,
+                      gwhh, g4);
+        }
+        dh_cur = dh_prev;
+      }
+      // x_t·W_ih's MatMul backwards run after the whole recurrence, in
+      // ascending step order. dW_ih stays one GEMM per step: a single
+      // T*S-deep GEMM would regroup each element's sum by k-panel.
+      if (gwih != nullptr) {
+        for (int64_t step = 0; step < num_steps; ++step) {
+          const int64_t t = reverse ? num_steps - 1 - step : step;
+          ShardedGemm(true, false, d, g4, bsz, px + t * bsz * d, d,
+                      dpre + t * bsz * g4, g4, gwih, g4);
+        }
+      }
+      // dX rows are disjoint per step, so one GEMM gives every row the bits
+      // of its step's own call.
+      if (gx != nullptr) {
+        ShardedGemm(false, true, rows, d, g4, dpre, g4, pwih, g4, gx, d);
+      }
     };
   }
-  return {Tensor::WrapImpl(h_node), Tensor::WrapImpl(c_node)};
+  return Tensor::WrapImpl(out);
 }
 
 Tensor GruPointwise(const Tensor& gi, const Tensor& gh, const Tensor& h_prev) {

@@ -128,16 +128,23 @@ enum class Activation { kNone, kTanh, kSigmoid, kRelu };
 Tensor AddNBiasAct(const std::vector<Tensor>& parts, const Tensor& bias,
                    Activation act);
 
-/// Fused LSTM gate pointwise block. pre is [B, 4H] holding the preactivation
-/// (x·W_ih + h·W_hh + b) with gate order i, f, g, o; c_prev is [B, H].
-/// Computes c = sigmoid(f)*c_prev + sigmoid(i)*tanh(g) and
-/// h = sigmoid(o)*tanh(c) as two graph nodes (c is consumed by the next
-/// step, h by the rest of the model), replacing the eager 9-node chain.
-struct LstmStepOut {
-  Tensor h;
-  Tensor c;
-};
-LstmStepOut LstmPointwise(const Tensor& pre, const Tensor& c_prev);
+/// One LSTM direction over a whole sequence as a single graph node. x is
+/// time-major [T*S, D]: rows [t*S, (t+1)*S) hold step t of S sequences.
+/// w_ih is [D, 4H], w_hh [H, 4H], bias [4H], gate order i, f, g, o. Starting
+/// from the zero state, walks t = 0..T-1 (T-1..0 when `reverse`) computing
+///   pre = x_t·W_ih + h·W_hh + b,  c = sigmoid(f)*c + sigmoid(i)*tanh(g),
+///   h = sigmoid(o)*tanh(c),
+/// and returns the final h, [S, H]. Replaces T steps of the eager chain
+/// (nn::LstmCell::Step over row slices of x).
+///
+/// The forward hoists x·W_ih for all T steps into one GEMM; a row's GEMM
+/// arithmetic does not depend on how many rows the call has. The backward
+/// replays the eager graph's reverse-topological schedule: steps in
+/// descending order, each running the pointwise gradient, the bias partials
+/// and the dh / dW_hh GEMMs; then dW_ih one step at a time in ascending step
+/// order; then dX as one GEMM.
+Tensor LstmSequence(const Tensor& x, const Tensor& w_ih, const Tensor& w_hh,
+                    const Tensor& bias, int64_t num_steps, bool reverse);
 
 /// Fused GRU gate pointwise block. gi = x·W_ih + b and gh = h_prev·W_hh,
 /// both [B, 3H] with gate order r, z, n; h_prev is [B, H]. Computes

@@ -241,10 +241,12 @@ class BatchTape {
   Stats stats_;
 };
 
-/// Global switch for the fused-op paths in src/nn (AddNBiasAct,
-/// LstmPointwise, GruPointwise, FmPairwise). Off by default so unit tests
-/// exercise the eager reference graphs; RrreTrainer and the neural baselines
-/// set it from their `use_tape` config. Fused and eager graphs are built to
+/// Global switch for the fused-op paths in src/nn: LstmSequence (one node
+/// per BiLstmEncoder direction in place of T eager LstmCell steps),
+/// AddNBiasAct, GruPointwise and FmPairwise. Off by default so unit tests
+/// exercise the eager reference graphs, which survive as the oracles the
+/// fused nodes are checked against; RrreTrainer and the neural baselines set
+/// it from their `use_tape` config. Fused and eager graphs are built to
 /// produce bitwise identical values and gradients — the flag trades graph
 /// shape (node count, fusion) only.
 bool FusionEnabled();

@@ -10,13 +10,16 @@
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "core/config.h"
+#include "core/review_encoder.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
 #include "nn/attention.h"
+#include "nn/embedding.h"
 #include "nn/fm.h"
 #include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
+#include "tensor/grad_sink.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tape.h"
@@ -398,14 +401,20 @@ TEST_F(KernelGradcheckTest, AddNBiasActAllActivations) {
   }
 }
 
-TEST_F(KernelGradcheckTest, LstmPointwise) {
-  const int64_t b = 3, h = 4;
-  GradCheck("lstm_pointwise", {Shape{b, 4 * h}, Shape{b, h}},
-            [](const std::vector<Tensor>& in) {
-              tensor::LstmStepOut out = tensor::LstmPointwise(in[0], in[1]);
-              return tensor::ConcatCols({out.h, out.c});
-            },
-            43);
+TEST_F(KernelGradcheckTest, LstmSequence) {
+  // Three steps of two sequences in both directions: the gradient crosses
+  // the recurrence (dh, dc), the hoisted input GEMM and the bias.
+  constexpr int64_t kSteps = 3, kBatch = 2, kDim = 3, kHidden = 2;
+  for (bool reverse : {false, true}) {
+    GradCheck(std::string("lstm_sequence reverse=") + (reverse ? "1" : "0"),
+              {Shape{kSteps * kBatch, kDim}, Shape{kDim, 4 * kHidden},
+               Shape{kHidden, 4 * kHidden}, Shape{4 * kHidden}},
+              [reverse](const std::vector<Tensor>& in) {
+                return tensor::LstmSequence(in[0], in[1], in[2], in[3],
+                                            kSteps, reverse);
+              },
+              43);
+  }
 }
 
 TEST_F(KernelGradcheckTest, GruPointwise) {
@@ -480,17 +489,176 @@ TEST_F(KernelFusionParityTest, LinearBitwise) {
   });
 }
 
-TEST_F(KernelFusionParityTest, LstmCellBitwise) {
-  ExpectFusedMatchesEager([](Rng& rng, std::vector<Tensor>& tracked) {
-    nn::LstmCell cell(5, 4, rng);
-    Tensor x = Tensor::Randn({3, 5}, rng, 0.5f, /*requires_grad=*/true);
-    Tensor h = Tensor::Randn({3, 4}, rng, 0.5f, /*requires_grad=*/true);
-    Tensor c = Tensor::Randn({3, 4}, rng, 0.5f, /*requires_grad=*/true);
-    tracked.insert(tracked.end(), {x, h, c});
-    for (const Tensor& p : cell.Parameters()) tracked.push_back(p);
-    nn::LstmCell::State next = cell.Step(x, {h, c});
-    return tensor::ConcatCols({next.h, next.c});
-  });
+/// A ReviewEncoder over an 11-word table, so token ids repeat within and
+/// across slots and the table gradient scatter-adds into shared rows.
+struct EncoderUnderTest {
+  static constexpr int64_t kVocab = 11;
+
+  EncoderUnderTest(int64_t max_tokens, int64_t word_dim, int64_t rev_dim)
+      : rng(555),
+        words(kVocab, word_dim, rng, 0.5f),
+        encoder(&words, max_tokens, rev_dim, rng) {}
+
+  /// The word table, then both directions' w_ih, w_hh and bias.
+  std::vector<Tensor> Tracked() const {
+    std::vector<Tensor> out = {words.table()};
+    for (const Tensor& p : encoder.Parameters()) out.push_back(p);
+    return out;
+  }
+
+  Rng rng;
+  nn::Embedding words;
+  core::ReviewEncoder encoder;
+};
+
+std::vector<int64_t> RandomTokens(int64_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int64_t> ids(static_cast<size_t>(count));
+  for (int64_t& id : ids) {
+    id = static_cast<int64_t>(
+        rng.UniformInt(static_cast<uint64_t>(EncoderUnderTest::kVocab)));
+  }
+  return ids;
+}
+
+/// Encodes `tokens` (slots x max_tokens) and backprops a fixed random
+/// weighting of the output. With `sink` the grads go through a GradSink, as
+/// in a training shard, and are added into the zeroed leaf grads after.
+ModuleRun EncodeAndBackprop(const EncoderUnderTest& m,
+                            const std::vector<int64_t>& tokens, int64_t slots,
+                            bool sink) {
+  std::vector<Tensor> tracked = m.Tracked();
+  for (Tensor& t : tracked) t.ZeroGrad();
+  Tensor out = m.encoder.Encode(tokens, slots);
+  Rng wrng(4321);
+  Tensor w = Tensor::Randn(out.shape(), wrng);
+  Tensor loss = tensor::Sum(tensor::Mul(out, w));
+  if (sink) {
+    tensor::GradSink grad_sink(tracked);
+    {
+      tensor::GradSink::Scope scope(&grad_sink);
+      loss.Backward();
+    }
+    grad_sink.AccumulateInto();
+  } else {
+    loss.Backward();
+  }
+  ModuleRun run;
+  run.out = out.ToVector();
+  for (const Tensor& t : tracked) run.grads.push_back(t.grad());
+  return run;
+}
+
+void ExpectRunsEqual(const ModuleRun& got, const ModuleRun& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.out, want.out) << what;
+  ASSERT_EQ(got.grads.size(), want.grads.size()) << what;
+  for (size_t i = 0; i < want.grads.size(); ++i) {
+    // 0 is the word table; then fwd w_ih, w_hh, bias; then bwd.
+    EXPECT_EQ(got.grads[i], want.grads[i]) << what << " tracked tensor " << i;
+  }
+}
+
+TEST_F(KernelFusionParityTest, ReviewEncoderBitwise) {
+  // One LstmSequence node per direction against the eager per-step chain,
+  // values and every gradient. Slot counts cover the kMr=4 GEMM row tails
+  // (1, 3, 5) and a weight-gradient reduction spanning two kKc=128 panels
+  // (130); the (word_dim 5, hidden 35) shape adds a 4H=140 that is not a
+  // kNr multiple, two k-panels in the dh / dX GEMMs and two bias chunks.
+  struct Dims {
+    int64_t word_dim;
+    int64_t hidden;
+  };
+  for (const Dims dims : {Dims{16, 16}, Dims{5, 35}}) {
+    for (int64_t max_tokens : {int64_t{1}, int64_t{16}}) {
+      for (int64_t slots : {1, 3, 5, 56, 130}) {
+        EncoderUnderTest m(max_tokens, dims.word_dim, 2 * dims.hidden);
+        const std::vector<int64_t> tokens =
+            RandomTokens(slots * max_tokens, 17 + static_cast<uint64_t>(slots));
+        for (bool sink : {false, true}) {
+          const std::string what =
+              "D=" + std::to_string(dims.word_dim) +
+              " H=" + std::to_string(dims.hidden) +
+              " T=" + std::to_string(max_tokens) +
+              " S=" + std::to_string(slots) + " sink=" + std::to_string(sink);
+          tensor::SetFusionEnabled(false);
+          const ModuleRun eager = EncodeAndBackprop(m, tokens, slots, sink);
+          tensor::SetFusionEnabled(true);
+          const ModuleRun fused = EncodeAndBackprop(m, tokens, slots, sink);
+          ExpectRunsEqual(fused, eager, what);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelFusionParityTest, ReviewEncoderReplayBitwise) {
+  // A recorded tape step, then a replayed one on new token ids: the
+  // replayed step reuses the recorded LstmSequence closures and must still
+  // match the eager chain bit for bit, with and without a GradSink.
+  for (int64_t slots : {3, 130}) {
+    for (bool sink : {false, true}) {
+      EncoderUnderTest m(/*max_tokens=*/16, /*word_dim=*/16, /*rev_dim=*/32);
+      tensor::BatchTape tape;
+      for (int step = 0; step < 2; ++step) {
+        const std::vector<int64_t> tokens =
+            RandomTokens(slots * 16, 100 + static_cast<uint64_t>(step));
+        const std::string what = "S=" + std::to_string(slots) +
+                                 " sink=" + std::to_string(sink) +
+                                 " step=" + std::to_string(step);
+        tensor::SetFusionEnabled(false);
+        const ModuleRun eager = EncodeAndBackprop(m, tokens, slots, sink);
+        tensor::SetFusionEnabled(true);
+        tape.BeginStep(1);
+        ModuleRun taped;
+        {
+          tensor::BatchTape::Scope scope(&tape);
+          taped = EncodeAndBackprop(m, tokens, slots, sink);
+        }
+        ExpectRunsEqual(taped, eager, what);
+      }
+      const tensor::BatchTape::Stats stats = tape.stats();
+      EXPECT_EQ(stats.replay_steps, 1) << "S=" << slots << " sink=" << sink;
+      EXPECT_EQ(stats.replay_backwards, 1) << "S=" << slots << " sink=" << sink;
+      EXPECT_EQ(stats.replay_fallbacks, 0) << "S=" << slots << " sink=" << sink;
+    }
+  }
+}
+
+TEST_F(KernelFusionParityTest, LstmSequenceReplayPinsDirection) {
+  // A forward and a reverse pass over the same input share op, shapes and
+  // parents (the shapes already fix the step count); only the node's attr
+  // tells the directions apart. A replayed step that flips the direction
+  // must fall back and re-trace, never run the recorded closure's walk.
+  constexpr int64_t kSteps = 4, kBatch = 3, kDim = 5, kHidden = 6;
+  Rng rng(77);
+  Tensor w_ih = Tensor::Randn({kDim, 4 * kHidden}, rng, 0.5f, true);
+  Tensor w_hh = Tensor::Randn({kHidden, 4 * kHidden}, rng, 0.5f, true);
+  Tensor bias = Tensor::Randn({4 * kHidden}, rng, 0.5f, true);
+  const std::vector<float> xs = RandomBuffer(kSteps * kBatch * kDim, rng);
+  auto run = [&](bool reverse) {
+    Tensor x = Tensor::FromVector({kSteps * kBatch, kDim}, xs, true);
+    Tensor out = tensor::LstmSequence(x, w_ih, w_hh, bias, kSteps, reverse);
+    Rng wrng(4321);
+    Tensor lw = Tensor::Randn(out.shape(), wrng);
+    tensor::Sum(tensor::Mul(out, lw)).Backward();
+    return std::vector<std::vector<float>>{out.ToVector(), x.grad(),
+                                           w_ih.grad(), w_hh.grad(),
+                                           bias.grad()};
+  };
+  const auto want_fwd = run(false);
+  const auto want_rev = run(true);
+  ASSERT_NE(want_fwd, want_rev);
+  tensor::BatchTape tape;
+  for (bool reverse : {false, false, true}) {
+    tape.BeginStep(1);
+    tensor::BatchTape::Scope scope(&tape);
+    EXPECT_EQ(run(reverse), reverse ? want_rev : want_fwd)
+        << "reverse=" << reverse;
+  }
+  const tensor::BatchTape::Stats stats = tape.stats();
+  EXPECT_EQ(stats.replay_steps, 2);
+  EXPECT_EQ(stats.replay_fallbacks, 1) << "a direction flip replayed";
 }
 
 TEST_F(KernelFusionParityTest, GruCellBitwise) {
@@ -608,8 +776,8 @@ TEST_F(KernelReductionTest, DoubleScrapeIsBitwiseEqual) {
 
 class TapeTrainingTest : public KernelTestBase {};
 
-data::ReviewDataset SmallCorpus() {
-  data::ReviewDataset ds(6, 5);
+data::ReviewDataset SmallCorpus(int64_t users = 6, int64_t items = 5) {
+  data::ReviewDataset ds(users, items);
   const char* texts[] = {
       "great pasta and friendly staff",  "terrible service avoid this",
       "amazing deal best place in town", "okay food nothing special",
@@ -617,8 +785,8 @@ data::ReviewDataset SmallCorpus() {
       "decent prices quick service",     "fantastic best pasta in town",
   };
   int64_t ts = 0;
-  for (int64_t u = 0; u < 6; ++u) {
-    for (int64_t i = 0; i < 5; ++i) {
+  for (int64_t u = 0; u < users; ++u) {
+    for (int64_t i = 0; i < items; ++i) {
       data::Review r;
       r.user = u;
       r.item = i;
@@ -658,9 +826,9 @@ struct FitResult {
   std::vector<double> reliabilities;
 };
 
-FitResult RunFit(const core::RrreConfig& config, int threads) {
+FitResult RunFit(const core::RrreConfig& config, int threads,
+                 const data::ReviewDataset& corpus = SmallCorpus()) {
   ThreadPool::SetGlobalSize(threads);
-  data::ReviewDataset corpus = SmallCorpus();
   core::RrreTrainer trainer(config);
   FitResult res;
   trainer.Fit(corpus, [&](const core::RrreTrainer::EpochStats& s) {
@@ -699,6 +867,32 @@ TEST_F(TapeTrainingTest, TapeMatchesEagerBitwise) {
       EXPECT_EQ(taped.reliabilities, eager.reliabilities)
           << "shard=" << shard << " threads=" << threads;
     }
+  }
+}
+
+TEST_F(TapeTrainingTest, TapeMatchesEagerBitwiseAcrossGemmPanels) {
+  // The crosses above train 16 examples x s_i 4 = 64 review slots a step,
+  // so no review-encoder weight-gradient sum spans two kKc-deep GEMM
+  // panels. A 40-example whole batch sends 160 item slots through each
+  // LstmSequence node: its per-step dW_ih / dW_hh GEMMs must group every
+  // sum by panel exactly as the eager per-step MatMuls do.
+  core::RrreConfig eager_config = SmallConfig();
+  eager_config.batch_size = 40;
+  eager_config.shard_size = 0;
+  eager_config.use_tape = false;
+  ASSERT_GT(eager_config.batch_size * eager_config.s_i, tensor::kernels::kKc);
+  core::RrreConfig taped_config = eager_config;
+  taped_config.use_tape = true;
+  // 72 reviews: a 40-example batch and a 32-example tail per epoch.
+  const data::ReviewDataset corpus = SmallCorpus(12, 6);
+  const FitResult eager = RunFit(eager_config, 1, corpus);
+  for (int threads : {1, 4}) {
+    const FitResult taped = RunFit(taped_config, threads, corpus);
+    EXPECT_EQ(taped.losses, eager.losses) << "threads=" << threads;
+    EXPECT_EQ(taped.params, eager.params) << "threads=" << threads;
+    EXPECT_EQ(taped.ratings, eager.ratings) << "threads=" << threads;
+    EXPECT_EQ(taped.reliabilities, eager.reliabilities)
+        << "threads=" << threads;
   }
 }
 

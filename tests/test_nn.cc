@@ -188,14 +188,17 @@ TEST(BiLstmTest, EncodeShapeAndDirectionality) {
   Rng rng(12);
   BiLstmEncoder enc(3, 4, rng);
   EXPECT_EQ(enc.output_size(), 8);
-  std::vector<Tensor> seq;
-  for (int t = 0; t < 5; ++t) seq.push_back(Tensor::Randn({2, 3}, rng));
-  Tensor out = enc.Encode(seq);
+  // Time-major: 5 steps of a batch of 2.
+  Tensor seq = Tensor::Randn({5 * 2, 3}, rng);
+  Tensor out = enc.Encode(seq, 5);
   EXPECT_EQ(out.shape(), (Shape{2, 8}));
 
   // Reversing the sequence must change the encoding (direction sensitivity).
-  std::vector<Tensor> rev(seq.rbegin(), seq.rend());
-  Tensor out_rev = enc.Encode(rev);
+  std::vector<Tensor> steps;
+  for (int64_t t = 4; t >= 0; --t) {
+    steps.push_back(tensor::SliceRows(seq, t * 2, 2));
+  }
+  Tensor out_rev = enc.Encode(tensor::ConcatRows(steps), 5);
   bool differs = false;
   for (int64_t i = 0; i < out.numel(); ++i) {
     if (std::abs(out.at(i) - out_rev.at(i)) > 1e-6f) differs = true;
@@ -206,9 +209,8 @@ TEST(BiLstmTest, EncodeShapeAndDirectionality) {
 TEST(BiLstmTest, GradientsReachAllParameters) {
   Rng rng(13);
   BiLstmEncoder enc(2, 3, rng);
-  std::vector<Tensor> seq = {Tensor::Randn({1, 2}, rng),
-                             Tensor::Randn({1, 2}, rng)};
-  tensor::Sum(tensor::Square(enc.Encode(seq))).Backward();
+  Tensor seq = Tensor::Randn({2 * 1, 2}, rng);
+  tensor::Sum(tensor::Square(enc.Encode(seq, 2))).Backward();
   for (const auto& [name, p] : enc.NamedParameters()) {
     double norm = 0.0;
     for (float g : p.grad()) norm += std::abs(g);

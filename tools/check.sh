@@ -27,8 +27,9 @@
 # replay-vs-rebuild bitwise crosses) under both AddressSanitizer and
 # UndefinedBehaviorSanitizer (the packed-panel kernels do the most pointer
 # arithmetic in the codebase), plus a repeat-until-fail guard over the
-# tape/replay suites, and the TSan leg picks the same suites up to vet the
-# per-shard tape executors.
+# tape/replay suites, and the TSan leg runs the same `kernels` label to vet
+# the per-shard tape executors — by label, not suite name, so a suite added
+# to test_kernels under any name is covered.
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-failpoint]
 #                       [--skip-router] [--skip-stream] [--skip-ubsan]
@@ -87,7 +88,8 @@ else
     --target test_threadpool test_parallel_determinism test_tensor \
              test_kernels test_batcher test_served >/dev/null
   (cd build-tsan && ctest --output-on-failure --no-tests=error \
-    -R "ThreadPool|ParallelDeterminism|MicroBatcher|ServedTest|Kernel|Tape" )
+    -R "ThreadPool|ParallelDeterminism|MicroBatcher|ServedTest" )
+  (cd build-tsan && ctest --output-on-failure --no-tests=error -L kernels)
   LEGS_RUN+=(tsan)
 fi
 
