@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -22,6 +23,15 @@
 // contraction decision to the compiler lets different instantiations round
 // differently; a correctly-rounded fma is the same operation everywhere
 // (hardware vfmadd with -mfma, correctly-rounded libm otherwise).
+//
+// The converse holds too: a product followed by an add must stay two
+// roundings. GCC 12 contracts `a * b + c` into vfmadd under -mfma even with
+// -std=c++20 (the ISO-mode default of -ffp-contract=off applies to C only),
+// and it does so for an _mm256_mul_ps feeding an _mm256_add_ps as well.
+// Contracted, Tanh below is an ulp or more off glibc's tanhf on some
+// inputs, so src/tensor/CMakeLists.txt pins -ffp-contract=off on this
+// library; the GEMM and conv loops, whose every fma is explicit, compile the
+// same either way.
 
 namespace rrre::tensor::kernels {
 
@@ -253,6 +263,234 @@ void Conv1dMaxPoolExample(int64_t seq_len, int64_t w, int64_t d, int64_t f,
       }
     }
   }
+}
+
+
+// -- tanh ---------------------------------------------------------------------
+//
+// A transcription of glibc 2.36's sysdeps/ieee754/flt-32/s_tanhf.c and
+// s_expm1f.c (fdlibm's float versions): the same IEEE single-precision
+// operations in the same order, so every result equals that libm's tanhf bit
+// for bit. fdlibm's exponent adds on int32 words run in uint32_t here (the
+// same bits, no signed overflow). Only the expm1f paths tanhf reaches are
+// kept: it passes x = 2|v| for 1 <= |v| < 22 and x = -2|v| for |v| < 1, so
+// expm1f's |x| >= 27 ln2 filter (overflow, -1, inf and NaN) and its k == 1
+// reduction never run.
+
+namespace {
+
+constexpr float FloatFromBits(uint32_t w) { return std::bit_cast<float>(w); }
+
+// s_expm1f.c's constants, by bit pattern.
+constexpr float kLn2Hi = FloatFromBits(0x3f317180u);   // 6.9313812256e-01
+constexpr float kLn2Lo = FloatFromBits(0x3717f7d1u);   // 9.0580006145e-06
+constexpr float kInvLn2 = FloatFromBits(0x3fb8aa3bu);  // 1.4426950216e+00
+constexpr float kQ1 = FloatFromBits(0xbd088889u);      // -3.3333335072e-02
+constexpr float kQ2 = FloatFromBits(0x3ad00d01u);      // 1.5873016091e-03
+constexpr float kQ3 = FloatFromBits(0xb8a670cdu);      // -7.9365076090e-05
+constexpr float kQ4 = FloatFromBits(0x36867e54u);      // 4.0082177293e-06
+constexpr float kQ5 = FloatFromBits(0xb457edbbu);      // -2.0109921195e-07
+// s_tanhf.c's: 1 - tiny rounds to 1 (fdlibm subtracts it to raise inexact).
+constexpr float kTiny = 1.0e-30f;
+
+/// fdlibm's SET_FLOAT_WORD(y, GET_FLOAT_WORD(y) + (k << 23)): y * 2^k
+/// through the exponent field.
+inline float AddExponent(float y, int32_t k) {
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(y) +
+                              (static_cast<uint32_t>(k) << 23));
+}
+
+/// __expm1f(x) for the arguments __tanhf passes it (see above).
+float Expm1ForTanh(float x) {
+  const uint32_t hx = std::bit_cast<uint32_t>(x) & 0x7fffffffu;
+  const bool xsb = std::signbit(x);
+  int32_t k;
+  float c = 0.0f;
+  if (hx > 0x3eb17218u) {  // |x| > 0.5 ln2
+    float hi, lo;
+    if (hx < 0x3f851592u) {  // and |x| < 1.5 ln2; only x < 0 lands here
+      hi = x + kLn2Hi;
+      lo = -kLn2Lo;
+      k = -1;
+    } else {
+      k = static_cast<int32_t>(kInvLn2 * x + (xsb ? -0.5f : 0.5f));
+      const float t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;  // t*ln2_hi is exact here
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000u) {  // |x| < 2^-25
+    return x;  // fdlibm's x - (t - (huge + x)) with t = huge + x
+  } else {
+    k = 0;
+  }
+  // x is now in the primary range.
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);  // c is 0
+  e = (x * (e - c) - c);
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k <= -2 || k > 56) {  // exp(x) - 1 suffices
+    return AddExponent(1.0f - (e - x), k) - 1.0f;
+  }
+  if (k < 23) {
+    t = FloatFromBits(0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    return AddExponent(t - (e - x), k);
+  }
+  t = FloatFromBits((0x7fu - static_cast<uint32_t>(k)) << 23);  // 2^-k
+  float y = x - (e + t);
+  y += 1.0f;
+  return AddExponent(y, k);
+}
+
+#if defined(__AVX2__) && defined(__FMA__)
+/// mask ? a : b per lane; blendv reads only each mask lane's top bit.
+inline __m256 Select(__m256i mask, __m256 a, __m256 b) {
+  return _mm256_blendv_ps(b, a, _mm256_castsi256_ps(mask));
+}
+inline __m256i Above(__m256i v, int32_t bound) {
+  return _mm256_cmpgt_epi32(v, _mm256_set1_epi32(bound));
+}
+inline __m256i Below(__m256i v, int32_t bound) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(bound), v);
+}
+inline __m256 AddExponent8(__m256 y, __m256i k) {
+  return _mm256_castsi256_ps(
+      _mm256_add_epi32(_mm256_castps_si256(y), _mm256_slli_epi32(k, 23)));
+}
+
+/// Tanh on 8 lanes. Each lane runs the float operations its scalar branch
+/// would; every branch is computed and the range tests blend the results.
+/// Word compares are signed, which is exact for the nonnegative |x| words
+/// and for k.
+__m256 Tanh8(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256i sign = _mm256_set1_epi32(static_cast<int32_t>(0x80000000u));
+  const __m256i jx = _mm256_castps_si256(x);
+  const __m256i ix = _mm256_andnot_si256(sign, jx);
+  const __m256 ax = _mm256_castsi256_ps(ix);
+
+  // expm1f(a), a = 2|x| for |x| >= 1 and -2|x| below.
+  const __m256i big = Above(ix, 0x3f7fffff);
+  const __m256 a = Select(big, _mm256_mul_ps(two, ax),
+                          _mm256_mul_ps(_mm256_set1_ps(-2.0f), ax));
+  const __m256i ha = _mm256_andnot_si256(sign, _mm256_castps_si256(a));
+  // One reduction serves fdlibm's three cases. For |a| > 0.5 ln2, k is the
+  // rounded quotient; on 0.5 ln2 < |a| < 1.5 ln2, where a < 0, that is -1
+  // for every input, and t*ln2_hi and t*ln2_lo are exact at t = -1, which
+  // gives fdlibm's k = -1 case (hi = a + ln2_hi, lo = -ln2_lo). Below
+  // 0.5 ln2, k = 0 leaves a as it is and c = 0.
+  const __m256 rnd = Select(big, half, _mm256_set1_ps(-0.5f));
+  __m256i k = _mm256_cvttps_epi32(
+      _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(kInvLn2), a), rnd));
+  k = _mm256_and_si256(k, Above(ha, 0x3eb17218));
+  const __m256 tk = _mm256_cvtepi32_ps(k);
+  const __m256 hi = _mm256_sub_ps(a, _mm256_mul_ps(tk, _mm256_set1_ps(kLn2Hi)));
+  const __m256 lo = _mm256_mul_ps(tk, _mm256_set1_ps(kLn2Lo));
+  const __m256 xr = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+  const __m256 hfx = _mm256_mul_ps(half, xr);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 p = _mm256_add_ps(_mm256_set1_ps(kQ4),
+                           _mm256_mul_ps(hxs, _mm256_set1_ps(kQ5)));
+  p = _mm256_add_ps(_mm256_set1_ps(kQ3), _mm256_mul_ps(hxs, p));
+  p = _mm256_add_ps(_mm256_set1_ps(kQ2), _mm256_mul_ps(hxs, p));
+  p = _mm256_add_ps(_mm256_set1_ps(kQ1), _mm256_mul_ps(hxs, p));
+  const __m256 r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, p));
+  const __m256 t = _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                       _mm256_mul_ps(xr, t))));
+  const __m256 r_k0 =
+      _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+  e = _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c);
+  e = _mm256_sub_ps(e, hxs);
+  const __m256 r_km1 =
+      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(xr, e)), half);
+  const __m256 e_x = _mm256_sub_ps(e, xr);
+  const __m256 r_far =
+      _mm256_sub_ps(AddExponent8(_mm256_sub_ps(one, e_x), k), one);
+  const __m256 t_mid = _mm256_castsi256_ps(_mm256_sub_epi32(  // 1 - 2^-k
+      _mm256_set1_epi32(0x3f800000),
+      _mm256_srlv_epi32(_mm256_set1_epi32(0x1000000), k)));
+  const __m256 r_mid = AddExponent8(_mm256_sub_ps(t_mid, e_x), k);
+  const __m256 t_high = _mm256_castsi256_ps(  // 2^-k
+      _mm256_slli_epi32(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+  const __m256 r_high = AddExponent8(
+      _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(e, t_high)), one), k);
+  __m256 em1 = r_far;  // k <= -2 or k > 56
+  em1 = Select(_mm256_and_si256(Above(k, 1), Below(k, 23)), r_mid, em1);
+  em1 = Select(_mm256_and_si256(Above(k, 22), Below(k, 57)), r_high, em1);
+  em1 = Select(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1)), r_km1, em1);
+  em1 = Select(_mm256_cmpeq_epi32(k, _mm256_setzero_si256()), r_k0, em1);
+  em1 = Select(Below(ha, 0x33000000), a, em1);  // |a| < 2^-25
+
+  // tanhf: 1 - 2/(t + 2) for |x| >= 1, -t/(t + 2) below — one division.
+  const __m256 neg_em1 = _mm256_xor_ps(em1, _mm256_castsi256_ps(sign));
+  const __m256 q =
+      _mm256_div_ps(Select(big, two, neg_em1), _mm256_add_ps(em1, two));
+  __m256 z = Select(big, _mm256_sub_ps(one, q), q);
+  z = Select(Above(ix, 0x41afffff), _mm256_set1_ps(1.0f - kTiny), z);
+  z = _mm256_xor_ps(z, _mm256_castsi256_ps(_mm256_and_si256(jx, sign)));
+  z = Select(Below(ix, 0x24000000), _mm256_mul_ps(x, _mm256_add_ps(one, x)),
+             z);
+  // inf and NaN: 1/x + 1, or 1/x - 1 when the sign bit is set.
+  const __m256i nonfinite = Above(ix, 0x7f7fffff);
+  if (!_mm256_testz_si256(nonfinite, nonfinite)) {
+    const __m256 r = _mm256_div_ps(one, x);
+    z = Select(nonfinite,
+               Select(jx, _mm256_sub_ps(r, one), _mm256_add_ps(r, one)), z);
+  }
+  return z;
+}
+#endif
+
+}  // namespace
+
+float Tanh(float x) {
+  const uint32_t jx = std::bit_cast<uint32_t>(x);
+  const uint32_t ix = jx & 0x7fffffffu;
+  const bool neg = (jx >> 31) != 0;
+  if (ix >= 0x7f800000u) {  // tanh(+-inf) = +-1, tanh(NaN) = NaN
+    return neg ? 1.0f / x - 1.0f : 1.0f / x + 1.0f;
+  }
+  float z;
+  if (ix < 0x41b00000u) {     // |x| < 22
+    if (ix == 0) return x;    // +-0
+    if (ix < 0x24000000u) {   // |x| < 2^-55
+      return x * (1.0f + x);  // tanh(small) = small
+    }
+    if (ix >= 0x3f800000u) {  // |x| >= 1
+      const float t = Expm1ForTanh(2.0f * std::fabs(x));
+      z = 1.0f - 2.0f / (t + 2.0f);
+    } else {
+      const float t = Expm1ForTanh(-2.0f * std::fabs(x));
+      z = -t / (t + 2.0f);
+    }
+  } else {  // |x| >= 22: +-1
+    z = 1.0f - kTiny;
+  }
+  return neg ? -z : z;
+}
+
+void TanhN(const float* in, float* out, int64_t n) {
+  int64_t i = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, Tanh8(_mm256_loadu_ps(in + i)));
+  }
+#endif
+  for (; i < n; ++i) out[i] = Tanh(in[i]);
 }
 
 }  // namespace rrre::tensor::kernels

@@ -76,6 +76,18 @@ void Conv1dMaxPoolExample(int64_t seq_len, int64_t w, int64_t d, int64_t f,
                           const float* bias, float* out_row,
                           int64_t* argmax_row, float* score_scratch);
 
+/// Hyperbolic tangent, bit for bit glibc 2.36's `tanhf` (fdlibm's s_tanhf.c
+/// over s_expm1f.c, transcribed with the same float operations in the same
+/// order), so results do not depend on the platform's libm. Every tanh under
+/// src/tensor goes through this or TanhN, keeping the eager ops and the
+/// fused kernels on one function.
+float Tanh(float x);
+
+/// out[i] = Tanh(in[i]) for i in [0, n), bitwise. Runs 8 lanes per AVX2
+/// instruction, every range branch computed and blended; the scalar Tanh
+/// takes the n % 8 tail and non-AVX2 builds. `out` may equal `in`.
+void TanhN(const float* in, float* out, int64_t n);
+
 /// Numerically stable logistic, shared by the eager Sigmoid op and the fused
 /// gate kernels so both graph shapes produce identical bits.
 inline float StableSigmoid(float x) {

@@ -36,8 +36,9 @@ int64_t RowGrain(int64_t cost_per_row) {
   return std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, cost_per_row));
 }
 
-/// Weight of one libm transcendental (expf, tanhf) in cheap elementwise
-/// ops, for sizing the chunks of kernels whose cost is those calls.
+/// Weight of one scalar transcendental (libm expf, kernels::Tanh) in cheap
+/// elementwise ops, for sizing the chunks of kernels whose cost is those
+/// calls. Like every grain it only schedules chunks, never changes a bit.
 constexpr int64_t kTranscendentalCost = 16;
 
 /// Packs a float op constant into a replay-verified attr word. Bit pattern,
@@ -109,7 +110,7 @@ inline float ApplyAct(Activation act, float x) {
     case Activation::kNone:
       return x;
     case Activation::kTanh:
-      return std::tanh(x);
+      return kernels::Tanh(x);
     case Activation::kSigmoid:
       return StableSigmoid(x);
     case Activation::kRelu:
@@ -414,7 +415,7 @@ Tensor UnaryFromOutput(const char* op, const Tensor& a, Fwd fwd,
 
 Tensor Tanh(const Tensor& a) {
   return UnaryFromOutput(
-      "tanh", a, [](float x) { return std::tanh(x); },
+      "tanh", a, [](float x) { return kernels::Tanh(x); },
       [](float y, float) { return 1.0f - y * y; });
 }
 
@@ -1440,7 +1441,9 @@ Tensor LstmSequence(const Tensor& x, const Tensor& w_ih, const Tensor& w_hh,
     std::fill(hw, hw + bsz * g4, 0.0f);
     ShardedGemm(false, false, bsz, g4, hs, hbuf + step * bh, hs, w_hh.data(),
                 g4, hw, g4);
-    // A row's cost is its 5H libm calls (three sigmoids, two tanh).
+    // A row costs 3H libm expf (the sigmoids) plus 2H TanhN lanes, which
+    // run several times cheaper than a scalar call; weighing all 5H as
+    // transcendentals errs toward smaller chunks, i.e. a wider spread.
     const int64_t grain = RowGrain(5 * hs * kTranscendentalCost);
     ParallelFor(0, bsz, grain, [=](int64_t lo, int64_t hi) {
       for (int64_t r = lo; r < hi; ++r) {
@@ -1448,23 +1451,25 @@ Tensor LstmSequence(const Tensor& x, const Tensor& w_ih, const Tensor& w_hh,
         const float* hwrow = hw + r * g4;
         // (x·W_ih + h·W_hh) + b: AddNBiasAct's two roundings.
         for (int64_t q = 0; q < g4; ++q) grow[q] = (grow[q] + hwrow[q]) + pb[q];
+        kernels::TanhN(grow + 2 * hs, grow + 2 * hs, hs);
         for (int64_t j = 0; j < hs; ++j) {
           const int64_t idx = r * hs + j;
           const float iv = StableSigmoid(grow[j]);
           const float fv = StableSigmoid(grow[hs + j]);
-          const float gv = std::tanh(grow[2 * hs + j]);
+          const float gv = grow[2 * hs + j];
           const float ov = StableSigmoid(grow[3 * hs + j]);
           grow[j] = iv;
           grow[hs + j] = fv;
-          grow[2 * hs + j] = gv;
           grow[3 * hs + j] = ov;
           // c = (f*c_prev) + (i*g): two rounded products, one add.
           const float t1 = fv * c_prev[idx];
           const float t2 = iv * gv;
-          const float cv = t1 + t2;
-          c_next[idx] = cv;
-          tc[idx] = std::tanh(cv);
-          h_next[idx] = ov * tc[idx];
+          c_next[idx] = t1 + t2;
+        }
+        kernels::TanhN(c_next + r * hs, tc + r * hs, hs);
+        for (int64_t j = 0; j < hs; ++j) {
+          const int64_t idx = r * hs + j;
+          h_next[idx] = grow[3 * hs + j] * tc[idx];
         }
       }
     });
@@ -1621,7 +1626,7 @@ Tensor GruPointwise(const Tensor& gi, const Tensor& gh, const Tensor& h_prev) {
         // pre_n = gi_n + (r * gh_n): one rounded product then one add,
         // matching the eager Add(gi_n, Mul(r, gh_n)).
         const float nv =
-            std::tanh(girow[2 * hs + j] + rv * ghrow[2 * hs + j]);
+            kernels::Tanh(girow[2 * hs + j] + rv * ghrow[2 * hs + j]);
         const float om = 1.0f - zv;
         const float t1 = om * nv;
         const float t2 = zv * php[idx];

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -241,6 +244,140 @@ TEST_F(KernelConvTest, RepeatCallsAreBitwiseIdentical) {
                                         am2.data(), scratch.data());
   EXPECT_EQ(out1, out2);
   EXPECT_EQ(am1, am2);
+}
+
+// ---------------------------------------------------------------------------
+// Tanh: kernels::Tanh and kernels::TanhN transcribe glibc 2.36's tanhf. The
+// golden bits below were recorded from that libm's tanhf on x86-64. They
+// cover every range the code branches on, plus canaries that come out an
+// ulp or more off when the compiler fuses a product into an add (a build
+// without -ffp-contract=off fails here). The sweeps pin the 8-lane blend to
+// the scalar branches.
+// ---------------------------------------------------------------------------
+
+class KernelTanhTest : public KernelTestBase {};
+
+uint32_t Bits(float v) { return std::bit_cast<uint32_t>(v); }
+float FromBits(uint32_t w) { return std::bit_cast<float>(w); }
+
+std::string Hex(uint32_t w) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%08x", w);
+  return buf;
+}
+
+struct TanhGolden {
+  uint32_t in;
+  uint32_t out;
+};
+
+// Grouped by the branch an input takes; k is expm1f's reduction exponent
+// for tanhf's argument 2|x| (|x| >= 1) or -2|x|.
+constexpr TanhGolden kTanhGolden[] = {
+    // |x| < 2^-55: x * (1 + x).
+    {0x20000000u, 0x20000000u}, {0xa3ffffffu, 0xa3ffffffu},
+    // |x| < 2^-26: expm1f returns its argument.
+    {0x30000000u, 0x30000000u}, {0xb27fffffu, 0xb27fffffu},
+    // |x| <= 0.1733: k = 0, from |x| = 2^-26 on.
+    {0x32800000u, 0x32800000u}, {0x3d800000u, 0x3d7faacdu},
+    {0xbe000000u, 0xbdfeaccau}, {0x3e3170b7u, 0x3e2faf76u},
+    // |x| < 0.52: k = -1.
+    {0x3e99999au, 0x3e9526edu}, {0xbf000000u, 0xbeec9a9fu},
+    {0x3f051591u, 0x3ef486f8u},
+    // |x| < 1: k <= -2.
+    {0x3f400000u, 0x3f22991fu}, {0xbf7fffffu, 0xbf42f7d5u},
+    // |x| < 7.6: 2 <= k < 23.
+    {0x3f800000u, 0x3f42f7d6u}, {0xc0200000u, 0xbf7c92c1u},
+    {0x40400000u, 0x3f7ebbe9u}, {0x40f33333u, 0x3f7ffff8u},
+    // |x| <= 19.4: 23 <= k <= 56.
+    {0x41200000u, 0x3f800000u}, {0xc1900000u, 0xbf800000u},
+    {0x419b3333u, 0x3f800000u},
+    // |x| < 22: k > 56.
+    {0x41a80000u, 0x3f800000u}, {0xc1afffffu, 0xbf800000u},
+    // |x| >= 22: +-1.
+    {0x41b00000u, 0x3f800000u}, {0xc2c80000u, 0xbf800000u},
+    {0x7f7fffffu, 0x3f800000u},
+    // +-0, subnormals, +-inf, NaN payloads (a signaling NaN comes back quiet).
+    {0x00000000u, 0x00000000u}, {0x80000000u, 0x80000000u},
+    {0x00000001u, 0x00000001u}, {0x807fffffu, 0x807fffffu},
+    {0x7f800000u, 0x3f800000u}, {0xff800000u, 0xbf800000u},
+    {0x7fc12345u, 0x7fc12345u}, {0xffa00001u, 0xffe00001u},
+    // Contraction canaries (k = 0, -1, -2 and 3).
+    {0x3bd6f4c9u, 0x3bd6f400u}, {0x3e31c374u, 0x3e2fffc2u},
+    {0x3f059b59u, 0x3ef5554eu}, {0x3f956f6au, 0x3f52ce15u},
+};
+constexpr int64_t kTanhGoldenSize = std::ssize(kTanhGolden);
+
+TEST_F(KernelTanhTest, MatchesGlibcTanhfGoldenBits) {
+  std::vector<float> mixed(kTanhGoldenSize);
+  for (int64_t i = 0; i < kTanhGoldenSize; ++i) {
+    mixed[i] = FromBits(kTanhGolden[i].in);
+  }
+  // All inputs side by side, so each vector mixes ranges across its lanes.
+  tensor::kernels::TanhN(mixed.data(), mixed.data(), kTanhGoldenSize);
+  for (int64_t i = 0; i < kTanhGoldenSize; ++i) {
+    const auto [in, want] = kTanhGolden[i];
+    const std::string at = "tanh(" + Hex(in) + ")";
+    EXPECT_EQ(Hex(Bits(tensor::kernels::Tanh(FromBits(in)))), Hex(want))
+        << "Tanh " << at;
+    EXPECT_EQ(Hex(Bits(mixed[i])), Hex(want)) << "TanhN mixed lanes " << at;
+    // The input in all 8 lanes of a vector, then as the scalar tail.
+    std::vector<float> lanes(9, FromBits(in));
+    tensor::kernels::TanhN(lanes.data(), lanes.data(), 9);
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      EXPECT_EQ(Hex(Bits(lanes[l])), Hex(want)) << "TanhN lane " << l << " "
+                                                << at;
+    }
+  }
+}
+
+TEST_F(KernelTanhTest, VectorMatchesScalarOnStridedSweep) {
+  // A prime stride through all 2^32 bit patterns: every exponent with varied
+  // mantissas and both signs, about a million inputs. Chunks of a length
+  // that is not a multiple of 8 end in a scalar tail each.
+  constexpr uint64_t kStride = 4099;
+  constexpr size_t kChunk = 4093;
+  std::vector<float> in, out;
+  int64_t checked = 0, mismatches = 0;
+  std::string first;
+  for (uint64_t w = 0; w < (uint64_t{1} << 32);) {
+    in.clear();
+    for (; w < (uint64_t{1} << 32) && in.size() < kChunk; w += kStride) {
+      in.push_back(FromBits(static_cast<uint32_t>(w)));
+    }
+    out.resize(in.size());
+    tensor::kernels::TanhN(in.data(), out.data(),
+                           static_cast<int64_t>(in.size()));
+    for (size_t i = 0; i < in.size(); ++i) {
+      const uint32_t want = Bits(tensor::kernels::Tanh(in[i]));
+      ++checked;
+      if (Bits(out[i]) != want && mismatches++ == 0) {
+        first = "tanh(" + Hex(Bits(in[i])) + "): TanhN " + Hex(Bits(out[i])) +
+                ", Tanh " + Hex(want);
+      }
+    }
+  }
+  EXPECT_EQ(checked, 1047809);
+  EXPECT_EQ(mismatches, 0) << "first: " << first;
+}
+
+TEST_F(KernelTanhTest, InPlaceEveryLengthMatchesScalar) {
+  // n in [0, 17]: empty, the scalar tail alone, one vector, two, and the
+  // tails after each; a sentinel past the end must survive.
+  constexpr float kSentinel = 12345.0f;
+  for (int64_t n = 0; n <= 17; ++n) {
+    std::vector<float> buf(static_cast<size_t>(n) + 1, kSentinel);
+    std::vector<uint32_t> want(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      buf[i] = FromBits(kTanhGolden[(7 * i + n) % kTanhGoldenSize].in);
+      want[i] = Bits(tensor::kernels::Tanh(buf[i]));
+    }
+    tensor::kernels::TanhN(buf.data(), buf.data(), n);
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(Hex(Bits(buf[i])), Hex(want[i])) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(buf[n], kSentinel) << "n=" << n;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ require_build_dir() {
 echo "== tier-1: default build + tests =="
 cmake -B build -S . >/dev/null
 require_build_dir build
-cmake --build build -j >/dev/null
+cmake --build build -j "$(nproc)" >/dev/null
 (cd build && ctest --output-on-failure --no-tests=error -j)
 LEGS_RUN+=(tier1)
 
@@ -84,7 +84,7 @@ else
   echo "== TSan: parallel-layer + online-serving tests under ThreadSanitizer =="
   cmake -B build-tsan -S . -DRRRE_SANITIZE=thread >/dev/null
   require_build_dir build-tsan
-  cmake --build build-tsan -j \
+  cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool test_parallel_determinism test_tensor \
              test_kernels test_batcher test_served >/dev/null
   (cd build-tsan && ctest --output-on-failure --no-tests=error \
@@ -100,7 +100,7 @@ else
   echo "== ASan: checkpoint/serve/resume + tower-store tests under AddressSanitizer =="
   cmake -B build-asan -S . -DRRRE_SANITIZE=address >/dev/null
   require_build_dir build-asan
-  cmake --build build-asan -j \
+  cmake --build build-asan -j "$(nproc)" \
     --target test_tensor test_serving test_extensions test_tower_store \
     >/dev/null
   (cd build-asan && ctest --output-on-failure --no-tests=error \
@@ -119,8 +119,8 @@ else
   echo "== failpoint: fault-injection suite + seeded soak under AddressSanitizer =="
   cmake -B build-asan -S . -DRRRE_SANITIZE=address >/dev/null
   require_build_dir build-asan
-  cmake --build build-asan -j --target test_failpoints test_tower_store \
-    test_stream >/dev/null
+  cmake --build build-asan -j "$(nproc)" \
+    --target test_failpoints test_tower_store test_stream >/dev/null
   # The failpoint label covers the whole fault-injection suite: framework
   # trigger schedules, AtomicFileWriter crash sequencing, torn-checkpoint
   # rejection, socket short-I/O/EINTR/reset faults, loadgen retry, and the
@@ -147,7 +147,7 @@ else
   echo "== router: sharded-router failover suite under AddressSanitizer =="
   cmake -B build-asan -S . -DRRRE_SANITIZE=address >/dev/null
   require_build_dir build-asan
-  cmake --build build-asan -j --target test_router >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target test_router >/dev/null
   # The router label covers consistent-hash routing, replica failover on
   # every router.backend.* failpoint seam (never-sent, maybe-delivered,
   # stall, torn response), catalog fan-out through a killed shard, the
@@ -170,7 +170,7 @@ else
   echo "== stream: adversarial arena + streaming retrain loop under AddressSanitizer =="
   cmake -B build-asan -S . -DRRRE_SANITIZE=address >/dev/null
   require_build_dir build-asan
-  cmake --build build-asan -j --target test_stream >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target test_stream >/dev/null
   # The stream label covers arena partition determinism (regeneration order,
   # thread counts), the per-tier evasion properties, the versioned publish
   # layout's crash-safety (manifest written last, torn generations skipped),
@@ -187,19 +187,21 @@ else
   echo "== kernels: blocked-kernel parity + batch-tape suites under ASan and UBSan =="
   cmake -B build-asan -S . -DRRRE_SANITIZE=address >/dev/null
   require_build_dir build-asan
-  cmake --build build-asan -j --target test_kernels >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target test_kernels >/dev/null
   # The kernels label is the parity-oracle + gradcheck + tape suite: blocked
   # GEMM vs a naive reference across the blocking-boundary shape grid, conv
-  # parity, the frozen-argmax conv gradient, fused-vs-eager bitwise identity
-  # for every module with a fused path, bitwise tape-vs-eager training, and
-  # the compiled-replay suite (replay-vs-rebuild bitwise crosses, fingerprint
-  # accounting, Clear() invalidation, steady-state zero-rebuild counters).
+  # parity, tanh's golden libm bits and its 8-lane-vs-scalar sweeps (sized to
+  # finish in seconds here), the frozen-argmax conv gradient, fused-vs-eager
+  # bitwise identity for every module with a fused path, bitwise
+  # tape-vs-eager training, and the compiled-replay suite (replay-vs-rebuild
+  # bitwise crosses, fingerprint accounting, Clear() invalidation,
+  # steady-state zero-rebuild counters).
   # ASan vets the packed-panel pointer arithmetic and the arena recycling;
   # UBSan vets the same code for overflow/alignment UB.
   (cd build-asan && ctest --output-on-failure --no-tests=error -L kernels)
   cmake -B build-ubsan -S . -DRRRE_SANITIZE=undefined >/dev/null
   require_build_dir build-ubsan
-  cmake --build build-ubsan -j --target test_kernels >/dev/null
+  cmake --build build-ubsan -j "$(nproc)" --target test_kernels >/dev/null
   (cd build-ubsan && ctest --output-on-failure --no-tests=error -L kernels)
   # Deflake guard (same pattern as the serving-socket guard): the tape/replay
   # training tests drive the per-shard executors on a parallel pool under -j;
@@ -217,7 +219,7 @@ else
   echo "== UBSan: observability + serving tests under UndefinedBehaviorSanitizer =="
   cmake -B build-ubsan -S . -DRRRE_SANITIZE=undefined >/dev/null
   require_build_dir build-ubsan
-  cmake --build build-ubsan -j \
+  cmake --build build-ubsan -j "$(nproc)" \
     --target test_obs test_properties_common test_batcher test_served >/dev/null
   # The obs label covers the metrics/trace/telemetry and histogram-property
   # suites; the explicit regex adds the online-serving path.
