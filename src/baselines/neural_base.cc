@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/threadpool.h"
 #include "nn/loss.h"
-#include "tensor/grad_sink.h"
 #include "tensor/ops.h"
+#include "tensor/tape.h"
 #include "text/tokenizer.h"
 #include "text/word2vec.h"
 
@@ -22,6 +20,7 @@ NeuralRatingBaseline::NeuralRatingBaseline(CommonConfig config)
     : config_(config), rng_(config.seed) {
   RRRE_CHECK_GT(config_.epochs, 0);
   RRRE_CHECK_GT(config_.batch_size, 0);
+  RRRE_CHECK_GE(config_.shard_size, 0);
 }
 
 void NeuralRatingBaseline::Fit(const data::ReviewDataset& train) {
@@ -61,101 +60,36 @@ void NeuralRatingBaseline::Fit(const data::ReviewDataset& train) {
   }
   optimizer_ = std::make_unique<nn::Adam>(params, config_.lr);
 
+  step_ = std::make_unique<nn::ShardedStep>(
+      config_.shard_size, config_.use_tape, config_.tape_replay);
+
   const int64_t n = train_->size();
   std::vector<int64_t> order(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-  // Same tape + fusion scheme as RrreTrainer::TrainEpochs; fused graphs are
-  // bitwise identical to eager ones, so the flag never changes results.
+  // Same step, tape and fusion scheme as RrreTrainer::TrainEpochs; fused
+  // graphs are bitwise identical to eager ones, so the flag never changes
+  // results.
   tensor::SetFusionEnabled(config_.use_tape);
   for (int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng_.Shuffle(order);
     for (int64_t start = 0; start < n; start += config_.batch_size) {
-      const int64_t end = std::min(n, start + config_.batch_size);
-      std::vector<std::pair<int64_t, int64_t>> pairs;
-      std::vector<int64_t> exclude;
-      std::vector<float> targets;
-      for (int64_t p = start; p < end; ++p) {
-        const int64_t idx = order[static_cast<size_t>(p)];
-        const data::Review& r = train_->review(idx);
-        pairs.emplace_back(r.user, r.item);
-        exclude.push_back(config_.exclude_target ? idx : -1);
-        targets.push_back(r.rating);
-      }
-      if (config_.shard_size <= 0) {
-        std::optional<tensor::BatchTape::Scope> tape_scope;
-        if (config_.use_tape) {
-          if (tapes_.empty()) {
-            tapes_.push_back(std::make_unique<tensor::BatchTape>());
-            tapes_.back()->SetReplayEnabled(config_.tape_replay);
-          }
-          // Keyed by example count: full batch and tail batch compile to
-          // separate replay graphs.
-          tapes_[0]->BeginStep(static_cast<uint64_t>(end - start));
-          tape_scope.emplace(tapes_[0].get());
+      const int64_t bsz = std::min(n, start + config_.batch_size) - start;
+      // Mean MSE over the batch splits exactly into sum_s frac_s * MSE_s.
+      auto shard_loss = [&](const nn::ShardedStep::Shard& shard, Rng& rng) {
+        std::vector<std::pair<int64_t, int64_t>> pairs;
+        std::vector<int64_t> exclude;
+        std::vector<float> targets;
+        for (int64_t p = start + shard.begin; p < start + shard.end; ++p) {
+          const int64_t idx = order[static_cast<size_t>(p)];
+          const data::Review& r = train_->review(idx);
+          pairs.emplace_back(r.user, r.item);
+          exclude.push_back(config_.exclude_target ? idx : -1);
+          targets.push_back(r.rating);
         }
-        Tensor pred = ForwardRating(pairs, exclude, /*training=*/true, rng_);
-        Tensor loss = nn::MseLoss(pred, targets);
-        loss.Backward();
-      } else {
-        // Data-parallel shards, merged in shard order — same scheme as
-        // RrreTrainer::Fit: mean-MSE over the batch decomposes exactly into
-        // sum_s (b_s / B) * MSE_s.
-        const int64_t bsz = end - start;
-        const int64_t ssz = config_.shard_size;
-        const int64_t num_shards = (bsz + ssz - 1) / ssz;
-        Rng batch_rng = rng_.Fork();
-        const std::vector<Tensor> all_params = module()->Parameters();
-        std::vector<std::unique_ptr<tensor::GradSink>> sinks(
-            static_cast<size_t>(num_shards));
-        if (config_.use_tape) {
-          while (static_cast<int64_t>(tapes_.size()) < num_shards) {
-            tapes_.push_back(std::make_unique<tensor::BatchTape>());
-            tapes_.back()->SetReplayEnabled(config_.tape_replay);
-          }
-        }
-        common::ParallelFor(0, num_shards, 1, [&](int64_t lo, int64_t hi) {
-          for (int64_t s = lo; s < hi; ++s) {
-            const int64_t s0 = s * ssz;
-            const int64_t s1 = std::min(bsz, s0 + ssz);
-            // The key carries the parent batch size as well as the shard's
-            // example count: the MulScalar(mse, frac) closure depends on
-            // bsz, so a full batch's shard and a same-sized tail-batch
-            // shard must compile separately (see RrreTrainer).
-            std::optional<tensor::BatchTape::Scope> tape_scope;
-            if (config_.use_tape) {
-              const uint64_t key = (static_cast<uint64_t>(bsz) << 32) |
-                                   static_cast<uint64_t>(s1 - s0);
-              tapes_[static_cast<size_t>(s)]->BeginStep(key);
-              tape_scope.emplace(tapes_[static_cast<size_t>(s)].get());
-            }
-            Rng shard_rng = batch_rng.Fork(static_cast<uint64_t>(s));
-            std::vector<std::pair<int64_t, int64_t>> spairs(
-                pairs.begin() + s0, pairs.begin() + s1);
-            std::vector<int64_t> sexclude(exclude.begin() + s0,
-                                          exclude.begin() + s1);
-            std::vector<float> stargets(targets.begin() + s0,
-                                        targets.begin() + s1);
-            Tensor pred =
-                ForwardRating(spairs, sexclude, /*training=*/true, shard_rng);
-            Tensor mse = nn::MseLoss(pred, stargets);
-            const float frac =
-                static_cast<float>(s1 - s0) / static_cast<float>(bsz);
-            Tensor shard_loss = tensor::MulScalar(mse, frac);
-            sinks[static_cast<size_t>(s)] =
-                std::make_unique<tensor::GradSink>(all_params);
-            tensor::GradSink::Scope scope(
-                sinks[static_cast<size_t>(s)].get());
-            shard_loss.Backward();
-          }
-        });
-        std::unordered_set<tensor::internal::TensorImpl*> zeroed;
-        for (const auto& sink : sinks) {
-          for (Tensor t : sink->Touched()) {
-            if (zeroed.insert(t.impl().get()).second) t.ZeroGrad();
-          }
-        }
-        for (const auto& sink : sinks) sink->AccumulateInto();
-      }
+        Tensor pred = ForwardRating(pairs, exclude, /*training=*/true, rng);
+        return tensor::MulScalar(nn::MseLoss(pred, targets), shard.frac);
+      };
+      step_->Run(bsz, module()->Parameters(), rng_, shard_loss);
       if (config_.grad_clip > 0.0) {
         auto params_ref = optimizer_->params();
         nn::ClipGradNorm(params_ref, config_.grad_clip);

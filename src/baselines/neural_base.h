@@ -10,7 +10,7 @@
 #include "nn/embedding.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
-#include "tensor/tape.h"
+#include "nn/sharded_step.h"
 #include "tensor/tensor.h"
 #include "text/vocab.h"
 
@@ -39,8 +39,8 @@ class NeuralRatingBaseline : public RatingPredictor {
     bool freeze_word_vectors = true;
     /// Drop the target review from its own input during training.
     bool exclude_target = true;
-    /// Examples per data-parallel shard; 0 = whole batch on one graph (the
-    /// exact serial path). Same contract as RrreConfig::shard_size.
+    /// Examples per data-parallel shard; 0 = the whole batch is one shard.
+    /// Must not be negative. Same contract as RrreConfig::shard_size.
     int64_t shard_size = 0;
     /// Train on a compiled batch tape with fused kernels; bitwise identical
     /// to the eager path. Same contract as RrreConfig::use_tape.
@@ -85,8 +85,8 @@ class NeuralRatingBaseline : public RatingPredictor {
   std::unique_ptr<data::ReviewDataset> train_;
   std::unique_ptr<text::Vocabulary> vocab_;
   std::unique_ptr<nn::Adam> optimizer_;
-  /// One batch tape per concurrent training shard; see RrreTrainer::tapes_.
-  std::vector<std::unique_ptr<tensor::BatchTape>> tapes_;
+  /// Built with each new model in Fit; see RrreTrainer::step_.
+  std::unique_ptr<nn::ShardedStep> step_;
 };
 
 }  // namespace rrre::baselines

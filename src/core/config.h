@@ -36,13 +36,13 @@ struct RrreConfig {
   double dropout = 0.0;
   double grad_clip = 5.0;
   uint64_t seed = 42;
-  /// Examples per data-parallel shard. 0 = whole batch on one graph (the
-  /// exact serial code path). When > 0, each minibatch is partitioned into
-  /// ceil(B / shard_size) shards that build features, run forward and run
-  /// backward concurrently on the global thread pool; shard gradients are
-  /// merged in shard order before the single optimizer step, so results do
-  /// not depend on the number of threads (see DESIGN.md, "Parallel
-  /// execution").
+  /// Examples per data-parallel shard; must not be negative. Each minibatch
+  /// is partitioned into ceil(B / shard_size) shards (0 = one shard of the
+  /// whole batch, drawing from the trainer's RNG itself) that build
+  /// features, run forward and run backward concurrently on the global
+  /// thread pool; shard gradients are merged in shard order before the
+  /// single optimizer step, so results do not depend on the number of
+  /// threads (see nn::ShardedStep and DESIGN.md, "Parallel execution").
   int64_t shard_size = 0;
   /// Run each training step on a compiled batch tape: fused gate/attention
   /// kernels plus a per-step arena that recycles every graph-node buffer

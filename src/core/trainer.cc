@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
-#include <unordered_set>
 
 #include "common/io.h"
 #include "common/logging.h"
@@ -16,8 +14,6 @@
 #include "common/timer.h"
 #include "eval/metrics.h"
 #include "nn/loss.h"
-#include "obs/trace.h"
-#include "tensor/grad_sink.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "text/tokenizer.h"
@@ -32,6 +28,7 @@ RrreTrainer::RrreTrainer(RrreConfig config)
     : config_(config), rng_(config.seed) {
   RRRE_CHECK_GT(config_.batch_size, 0);
   RRRE_CHECK_GT(config_.epochs, 0);
+  RRRE_CHECK_GE(config_.shard_size, 0);
   RRRE_CHECK_GE(config_.lambda, 0.0);
   RRRE_CHECK_LE(config_.lambda, 1.0);
 }
@@ -60,6 +57,8 @@ void RrreTrainer::Fit(const data::ReviewDataset& train,
   model_ = std::make_unique<RrreModel>(config_, train_->num_users(),
                                        train_->num_items(), vocab_->size(),
                                        init_rng);
+  step_ = std::make_unique<nn::ShardedStep>(
+      config_.shard_size, config_.use_tape, config_.tape_replay);
   if (config_.pretrain_word_vectors) {
     std::vector<std::vector<int64_t>> id_docs;
     id_docs.reserve(docs.size());
@@ -86,29 +85,8 @@ void RrreTrainer::Fit(const data::ReviewDataset& train,
   TrainEpochs(0, callback);
 }
 
-void RrreTrainer::EnsureTapes(int64_t count) {
-  while (static_cast<int64_t>(tapes_.size()) < count) {
-    tapes_.push_back(std::make_unique<tensor::BatchTape>());
-    tapes_.back()->SetReplayEnabled(config_.tape_replay);
-  }
-}
-
 tensor::BatchTape::Stats RrreTrainer::TapeStats() const {
-  tensor::BatchTape::Stats total;
-  for (const auto& tape : tapes_) {
-    const tensor::BatchTape::Stats s = tape->stats();
-    total.steps += s.steps;
-    total.nodes += s.nodes;
-    total.buffer_allocs += s.buffer_allocs;
-    total.buffer_reuses += s.buffer_reuses;
-    total.distinct_sequences += s.distinct_sequences;
-    total.dfs_node_visits += s.dfs_node_visits;
-    total.closure_allocs += s.closure_allocs;
-    total.replay_steps += s.replay_steps;
-    total.replay_backwards += s.replay_backwards;
-    total.replay_fallbacks += s.replay_fallbacks;
-  }
-  return total;
+  return step_ != nullptr ? step_->TapeStats() : tensor::BatchTape::Stats{};
 }
 
 void RrreTrainer::TrainEpochs(int64_t first_epoch,
@@ -120,6 +98,7 @@ void RrreTrainer::TrainEpochs(int64_t first_epoch,
   tensor::SetFusionEnabled(config_.use_tape);
   const int64_t n = train_->size();
   std::vector<int64_t> order(static_cast<size_t>(n));
+  const float lam = static_cast<float>(config_.lambda);
 
   for (int64_t epoch = first_epoch; epoch < config_.epochs; ++epoch) {
     common::Timer timer;
@@ -134,204 +113,78 @@ void RrreTrainer::TrainEpochs(int64_t first_epoch,
     double sum_loss2 = 0.0;
     double sum_grad_norm = 0.0;
     int64_t batches = 0;
-    // Per-shard wall-times for this epoch's telemetry; only the sharded path
-    // fills it, and only wall-clock-including telemetry reports it.
+    // Per-shard wall-times for this epoch; only wall-clock-including
+    // telemetry reports them.
     common::Histogram shard_seconds_us;
     for (int64_t start = 0; start < n; start += config_.batch_size) {
-      const int64_t end = std::min(n, start + config_.batch_size);
-      std::vector<std::pair<int64_t, int64_t>> pairs;
-      std::vector<int64_t> exclude;
-      std::vector<float> targets;
-      std::vector<int64_t> labels;
-      std::vector<float> weights;
-      pairs.reserve(static_cast<size_t>(end - start));
-      for (int64_t p = start; p < end; ++p) {
-        const int64_t idx = order[static_cast<size_t>(p)];
-        const data::Review& r = train_->review(idx);
-        pairs.emplace_back(r.user, r.item);
-        exclude.push_back(config_.exclude_target_from_history ? idx : -1);
-        targets.push_back(
-            static_cast<float>(r.rating - rating_offset_));
-        labels.push_back(r.is_benign() ? 1 : 0);
-        weights.push_back(config_.biased_loss ? (r.is_benign() ? 1.0f : 0.0f)
-                                              : 1.0f);
-      }
-      if (config_.shard_size <= 0) {
-        // Whole-batch path: one graph, one backward.
-        std::optional<tensor::BatchTape::Scope> tape_scope;
-        if (config_.use_tape) {
-          EnsureTapes(1);
-          // Recycle the previous batch's graph, keyed by example count so
-          // the full batch and the tail batch compile to separate replay
-          // graphs.
-          tapes_[0]->BeginStep(static_cast<uint64_t>(end - start));
-          tape_scope.emplace(tapes_[0].get());
+      const int64_t bsz = std::min(n, start + config_.batch_size) - start;
+      std::vector<double> ce_vals(static_cast<size_t>(step_->NumShards(bsz)));
+      std::vector<double> mse_vals(ce_vals.size());
+      double l2_val = 0.0;
+      auto shard_loss = [&](const nn::ShardedStep::Shard& shard, Rng& rng) {
+        std::vector<std::pair<int64_t, int64_t>> pairs;
+        std::vector<int64_t> exclude;
+        std::vector<float> targets;
+        std::vector<int64_t> labels;
+        std::vector<float> weights;
+        for (int64_t p = start + shard.begin; p < start + shard.end; ++p) {
+          const int64_t idx = order[static_cast<size_t>(p)];
+          const data::Review& r = train_->review(idx);
+          pairs.emplace_back(r.user, r.item);
+          exclude.push_back(config_.exclude_target_from_history ? idx : -1);
+          targets.push_back(static_cast<float>(r.rating - rating_offset_));
+          labels.push_back(r.is_benign() ? 1 : 0);
+          weights.push_back(
+              config_.biased_loss ? (r.is_benign() ? 1.0f : 0.0f) : 1.0f);
         }
-        RrreModel::Batch batch = features_->Build(pairs, exclude, rng_);
-        RrreModel::Output out =
-            model_->Forward(batch, /*training=*/true, &rng_);
-
+        RrreModel::Batch batch = features_->Build(pairs, exclude, rng);
+        RrreModel::Output out = model_->Forward(batch, /*training=*/true, &rng);
         // loss1 (Eq. 11): reliability cross-entropy; label 1 = benign.
-        Tensor loss1 =
-            tensor::CrossEntropyWithLogits(out.reliability_logits, labels);
-        // loss2 (Eq. 14 / Eq. 13 for RRRE^-): (weighted) MSE + L2.
+        Tensor ce = tensor::CrossEntropyWithLogits(out.reliability_logits,
+                                                   labels);
+        // loss2 (Eq. 14 / Eq. 13 for RRRE^-): (weighted) MSE; its L2 term is
+        // the step's parameter-only loss below.
         Tensor mse = nn::WeightedMseLoss(out.rating, targets, weights,
                                          nn::WeightedMseNorm::kBatchSize);
-        Tensor loss2 = mse;
-        if (config_.gamma > 0.0) {
-          loss2 = tensor::Add(
-              loss2, tensor::MulScalar(nn::L2Penalty(optimizer_->params()),
-                                       static_cast<float>(config_.gamma)));
-        }
-        // L = lambda*loss1 + (1-lambda)*loss2 (Eq. 15).
-        Tensor loss = tensor::Add(
-            tensor::MulScalar(loss1, static_cast<float>(config_.lambda)),
-            tensor::MulScalar(loss2,
-                              static_cast<float>(1.0 - config_.lambda)));
-
-        loss.Backward();
-        if (config_.grad_clip > 0.0) {
-          auto params_ref = optimizer_->params();
-          sum_grad_norm += nn::ClipGradNorm(params_ref, config_.grad_clip);
-        } else if (telemetry_.writer != nullptr) {
-          sum_grad_norm += nn::GlobalGradNorm(optimizer_->params());
-        }
-        optimizer_->Step();
-        ++params_version_;
-
-        sum_loss += loss.item();
-        sum_loss1 += loss1.item();
-        sum_loss2 += loss2.item();
-      } else {
-        // Data-parallel path: the batch is split into fixed-size shards that
-        // run forward + backward concurrently, each on a private graph with
-        // gradients redirected into a per-shard GradSink. The decomposition
-        // is exact: with shard fractions f_s = b_s / B,
-        //   lambda*CE_B + (1-lambda)*MSE_B
-        //     = sum_s f_s * (lambda*CE_s + (1-lambda)*MSE_s),
-        // so merging shard gradients in shard order and stepping once
-        // reproduces the whole-batch objective. Shard randomness comes from
-        // keyed forks of one per-batch rng, making the result independent of
-        // the thread count and of shard scheduling order.
-        const int64_t bsz = end - start;
-        const int64_t ssz = config_.shard_size;
-        const int64_t num_shards = (bsz + ssz - 1) / ssz;
-        const float lam = static_cast<float>(config_.lambda);
-        Rng batch_rng = rng_.Fork();
-        const std::vector<Tensor> all_params = model_->Parameters();
-        std::vector<std::unique_ptr<tensor::GradSink>> sinks(
-            static_cast<size_t>(num_shards));
-        std::vector<double> ce_vals(static_cast<size_t>(num_shards), 0.0);
-        std::vector<double> mse_vals(static_cast<size_t>(num_shards), 0.0);
-        std::vector<double> shard_secs(static_cast<size_t>(num_shards), 0.0);
-        if (config_.use_tape) EnsureTapes(num_shards);
-        common::ParallelFor(0, num_shards, 1, [&](int64_t lo, int64_t hi) {
-          for (int64_t s = lo; s < hi; ++s) {
-            obs::TraceSpan span("train_shard");
-            common::Timer shard_timer;
-            const int64_t s0 = s * ssz;
-            const int64_t s1 = std::min(bsz, s0 + ssz);
-            // Tape s belongs to shard index s: the grain-1 ParallelFor hands
-            // each index to exactly one thread, so the arena is never shared.
-            // The replay key carries the parent batch size as well as the
-            // shard's example count: the loss-mix scale lam*frac depends on
-            // bsz, so a full batch's shard and a same-sized tail-batch shard
-            // trace different closures and must compile separately.
-            std::optional<tensor::BatchTape::Scope> tape_scope;
-            if (config_.use_tape) {
-              const uint64_t key = (static_cast<uint64_t>(bsz) << 32) |
-                                   static_cast<uint64_t>(s1 - s0);
-              tapes_[static_cast<size_t>(s)]->BeginStep(key);
-              tape_scope.emplace(tapes_[static_cast<size_t>(s)].get());
-            }
-            Rng shard_rng = batch_rng.Fork(static_cast<uint64_t>(s));
-            std::vector<std::pair<int64_t, int64_t>> spairs(
-                pairs.begin() + s0, pairs.begin() + s1);
-            std::vector<int64_t> sexclude(exclude.begin() + s0,
-                                          exclude.begin() + s1);
-            std::vector<float> stargets(targets.begin() + s0,
-                                        targets.begin() + s1);
-            std::vector<int64_t> slabels(labels.begin() + s0,
-                                         labels.begin() + s1);
-            std::vector<float> sweights(weights.begin() + s0,
-                                        weights.begin() + s1);
-            RrreModel::Batch sbatch =
-                features_->Build(spairs, sexclude, shard_rng);
-            RrreModel::Output sout =
-                model_->Forward(sbatch, /*training=*/true, &shard_rng);
-            Tensor ce = tensor::CrossEntropyWithLogits(
-                sout.reliability_logits, slabels);
-            Tensor mse = nn::WeightedMseLoss(sout.rating, stargets, sweights,
-                                             nn::WeightedMseNorm::kBatchSize);
-            const float frac =
-                static_cast<float>(s1 - s0) / static_cast<float>(bsz);
-            Tensor shard_loss =
-                tensor::Add(tensor::MulScalar(ce, lam * frac),
-                            tensor::MulScalar(mse, (1.0f - lam) * frac));
-            sinks[static_cast<size_t>(s)] =
-                std::make_unique<tensor::GradSink>(all_params);
-            tensor::GradSink::Scope scope(sinks[static_cast<size_t>(s)].get());
-            shard_loss.Backward();
-            ce_vals[static_cast<size_t>(s)] = ce.item() * frac;
-            mse_vals[static_cast<size_t>(s)] = mse.item() * frac;
-            shard_secs[static_cast<size_t>(s)] = shard_timer.ElapsedSeconds();
-          }
-        });
-        if (telemetry_.writer != nullptr) {
-          for (double secs : shard_secs) shard_seconds_us.Record(secs * 1e6);
-        }
-
-        // The L2 term lives on the master graph. Its Backward() zeroes the
-        // optimizer parameters' real grads (providing the fresh-grad
-        // guarantee the whole-batch Backward gave) and must therefore run
-        // BEFORE the shard sinks are merged.
-        double l2_val = 0.0;
-        std::unordered_set<tensor::internal::TensorImpl*> zeroed;
-        if (config_.gamma > 0.0) {
-          // The L2 graph joins shard 0's open tape step (no BeginStep: the
-          // shards' nodes are still referenced by the sinks' Touched sets
-          // until the merge below, and the ParallelFor has joined, so
-          // tapes_[0] is free to use on this thread).
-          std::optional<tensor::BatchTape::Scope> l2_scope;
-          if (config_.use_tape) l2_scope.emplace(tapes_[0].get());
+        ce_vals[static_cast<size_t>(shard.index)] = ce.item() * shard.frac;
+        mse_vals[static_cast<size_t>(shard.index)] = mse.item() * shard.frac;
+        // L = lambda*loss1 + (1-lambda)*loss2 (Eq. 15), this shard's share.
+        return tensor::Add(tensor::MulScalar(ce, lam * shard.frac),
+                           tensor::MulScalar(mse, (1.0f - lam) * shard.frac));
+      };
+      nn::ShardedStep::ParamLoss l2_loss;
+      if (config_.gamma > 0.0) {
+        l2_loss = [&] {
           Tensor l2_pen = nn::L2Penalty(optimizer_->params());
-          Tensor l2_scaled = tensor::MulScalar(
-              l2_pen, (1.0f - lam) * static_cast<float>(config_.gamma));
-          l2_scaled.Backward();
           l2_val = l2_pen.item();
-          for (const Tensor& p : optimizer_->params()) {
-            zeroed.insert(p.impl().get());
-          }
-        }
-        // Any touched parameter outside the L2 graph (e.g. a frozen word
-        // table) still needs a fresh grad before merging.
-        for (const auto& sink : sinks) {
-          for (Tensor t : sink->Touched()) {
-            if (zeroed.insert(t.impl().get()).second) t.ZeroGrad();
-          }
-        }
-        for (const auto& sink : sinks) sink->AccumulateInto();
-        if (config_.grad_clip > 0.0) {
-          auto params_ref = optimizer_->params();
-          sum_grad_norm += nn::ClipGradNorm(params_ref, config_.grad_clip);
-        } else if (telemetry_.writer != nullptr) {
-          sum_grad_norm += nn::GlobalGradNorm(optimizer_->params());
-        }
-        optimizer_->Step();
-        ++params_version_;
-
-        double ce_full = 0.0;
-        double mse_full = 0.0;
-        for (int64_t s = 0; s < num_shards; ++s) {
-          ce_full += ce_vals[static_cast<size_t>(s)];
-          mse_full += mse_vals[static_cast<size_t>(s)];
-        }
-        const double loss2_val = mse_full + config_.gamma * l2_val;
-        sum_loss +=
-            config_.lambda * ce_full + (1.0 - config_.lambda) * loss2_val;
-        sum_loss1 += ce_full;
-        sum_loss2 += loss2_val;
+          return tensor::MulScalar(
+              l2_pen, (1.0f - lam) * static_cast<float>(config_.gamma));
+        };
       }
+      const std::vector<double> shard_secs = step_->Run(
+          bsz, model_->Parameters(), rng_, shard_loss, l2_loss);
+      if (telemetry_.writer != nullptr) {
+        for (double secs : shard_secs) shard_seconds_us.Record(secs * 1e6);
+      }
+      if (config_.grad_clip > 0.0) {
+        auto params_ref = optimizer_->params();
+        sum_grad_norm += nn::ClipGradNorm(params_ref, config_.grad_clip);
+      } else if (telemetry_.writer != nullptr) {
+        sum_grad_norm += nn::GlobalGradNorm(optimizer_->params());
+      }
+      optimizer_->Step();
+      ++params_version_;
+
+      double ce_full = 0.0;
+      double mse_full = 0.0;
+      for (size_t s = 0; s < ce_vals.size(); ++s) {
+        ce_full += ce_vals[s];
+        mse_full += mse_vals[s];
+      }
+      const double loss2_val = mse_full + config_.gamma * l2_val;
+      sum_loss += config_.lambda * ce_full + (1.0 - config_.lambda) * loss2_val;
+      sum_loss1 += ce_full;
+      sum_loss2 += loss2_val;
       ++batches;
     }
     epochs_completed_ = epoch + 1;
@@ -367,12 +220,10 @@ void RrreTrainer::EmitEpochTelemetry(const EpochStats& stats,
   }
   if (telemetry_.writer->include_timings()) {
     record.AddDouble("seconds", stats.seconds);
-    if (shard_seconds.count() > 0) {
-      record.AddInt("shards", shard_seconds.count());
-      record.AddDouble("shard_us_mean", shard_seconds.Mean());
-      record.AddDouble("shard_us_p95", shard_seconds.Percentile(95.0));
-      record.AddDouble("shard_us_max", shard_seconds.Max());
-    }
+    record.AddInt("shards", shard_seconds.count());
+    record.AddDouble("shard_us_mean", shard_seconds.Mean());
+    record.AddDouble("shard_us_p95", shard_seconds.Percentile(95.0));
+    record.AddDouble("shard_us_max", shard_seconds.Max());
   }
   const common::Status status = telemetry_.writer->Write(record);
   if (!status.ok()) {
@@ -618,6 +469,8 @@ common::Status RrreTrainer::Load(const std::string& prefix) {
   model_ = std::make_unique<RrreModel>(config_, train_->num_users(),
                                        train_->num_items(), vocab_->size(),
                                        init_rng);
+  step_ = std::make_unique<nn::ShardedStep>(
+      config_.shard_size, config_.use_tape, config_.tape_replay);
   RRRE_RETURN_IF_ERROR(model_->Load(prefix + ".model"));
   features_ = std::make_unique<FeatureBuilder>(config_, train_.get(),
                                                vocab_.get());

@@ -14,6 +14,7 @@
 #include "core/model.h"
 #include "data/dataset.h"
 #include "nn/optimizer.h"
+#include "nn/sharded_step.h"
 #include "obs/telemetry.h"
 #include "tensor/tape.h"
 #include "text/vocab.h"
@@ -158,21 +159,17 @@ class RrreTrainer {
   /// and treat a mismatch as staleness.
   int64_t params_version() const { return params_version_; }
   /// Aggregated counters of the per-shard batch tapes (zeroes when
-  /// config().use_tape is false or training has not run). The interesting
-  /// invariants — buffer_allocs stops growing after the first step of each
-  /// shape, distinct_sequences stays at the number of distinct batch shapes
-  /// — are asserted by tests/test_kernels.cc.
+  /// config().use_tape is false or training has not run). Fit and Load start
+  /// fresh tapes, so the counters cover only the current model's steps. The
+  /// interesting invariants — buffer_allocs stops growing after the first
+  /// step of each shape, distinct_sequences stays at the number of distinct
+  /// batch shapes — are asserted by tests/test_kernels.cc.
   tensor::BatchTape::Stats TapeStats() const;
 
  private:
   /// Runs epochs [first_epoch, config_.epochs) of the training loop on the
   /// already-initialized model/optimizer/features.
   void TrainEpochs(int64_t first_epoch, const EpochCallback& callback);
-
-  /// Grows tapes_ to `count` entries (one per concurrent shard; the
-  /// whole-batch path uses one). Existing tapes keep their pools — a growing
-  /// shard count mid-run only allocates the new slots.
-  void EnsureTapes(int64_t count);
 
   /// Scores telemetry_.eval with the current parameters and appends one
   /// telemetry record for `stats`; RNG state is preserved across the call.
@@ -193,11 +190,9 @@ class RrreTrainer {
   std::unique_ptr<RrreModel> model_;
   std::unique_ptr<FeatureBuilder> features_;
   std::unique_ptr<nn::Adam> optimizer_;
-  /// One BatchTape per concurrent training shard (index = shard index), so a
-  /// shard's arena is only ever touched by the one thread running that
-  /// shard. Kept across batches and epochs — that persistence is the whole
-  /// point: batch N reuses batch N-1's buffers.
-  std::vector<std::unique_ptr<tensor::BatchTape>> tapes_;
+  /// Built with each new model (Fit, Load): its tapes replay graphs recorded
+  /// over that model's parameters. Kept across batches and epochs.
+  std::unique_ptr<nn::ShardedStep> step_;
 };
 
 }  // namespace rrre::core

@@ -348,6 +348,12 @@ TEST(NeuralBaselineTest, PredictBeforeFitIsFatal) {
   EXPECT_DEATH(model.PredictRatings({{0, 0}}), "Fit");
 }
 
+TEST(NeuralBaselineTest, NegativeShardSizeIsFatal) {
+  DeepCoNN::Config config;
+  config.common.shard_size = -4;
+  EXPECT_DEATH({ DeepCoNN model(config); }, "shard_size");
+}
+
 // ---------------------------------------------------------------------------
 // RRRE adapter
 // ---------------------------------------------------------------------------

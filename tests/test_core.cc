@@ -426,6 +426,12 @@ TEST(TrainerTest, PredictBeforeFitIsFatal) {
   EXPECT_DEATH(trainer.PredictPairs({{0, 0}}), "Fit");
 }
 
+TEST(TrainerTest, NegativeShardSizeIsFatal) {
+  RrreConfig config = TinyConfig();
+  config.shard_size = -4;
+  EXPECT_DEATH({ RrreTrainer trainer(config); }, "shard_size");
+}
+
 // ---------------------------------------------------------------------------
 // ReliableRecommender
 // ---------------------------------------------------------------------------

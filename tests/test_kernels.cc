@@ -1218,6 +1218,56 @@ TEST_F(TapeTrainingTest, WholeBatchReplayCountsEveryNonRecordingStep) {
   EXPECT_EQ(stats.replay_fallbacks, 0);
 }
 
+TEST_F(TapeTrainingTest, RefitRecordsFreshGraphs) {
+  // Regression: the tapes used to outlive the model. A second Fit builds new
+  // parameter tensors, so graphs compiled during the first Fit no longer
+  // verify and every replay of them fell back to the arena. A refit must
+  // start fresh tapes and count only its own steps.
+  ThreadPool::SetGlobalSize(2);
+  data::ReviewDataset corpus = SmallCorpus();
+  for (int64_t shard : {int64_t{0}, int64_t{8}}) {
+    core::RrreConfig config = SmallConfig();
+    config.shard_size = shard;
+    config.use_tape = true;
+    core::RrreTrainer once(config);
+    once.Fit(corpus);
+    core::RrreTrainer twice(config);
+    twice.Fit(corpus);
+    twice.Fit(corpus);
+    const tensor::BatchTape::Stats stats = twice.TapeStats();
+    EXPECT_EQ(stats.replay_fallbacks, 0) << "shard=" << shard;
+    EXPECT_EQ(stats.steps, once.TapeStats().steps) << "shard=" << shard;
+    EXPECT_EQ(stats.replay_steps, once.TapeStats().replay_steps)
+        << "shard=" << shard;
+  }
+}
+
+TEST_F(TapeTrainingTest, LoadIntoFittedTrainerRecordsFreshGraphs) {
+  // The same regression through Load, which also builds new parameter
+  // tensors: resuming a checkpoint on a trainer that already trained must
+  // not replay the earlier model's graphs.
+  ThreadPool::SetGlobalSize(2);
+  data::ReviewDataset corpus = SmallCorpus();
+  core::RrreConfig config = SmallConfig();
+  config.epochs = 4;
+  config.use_tape = true;
+  const std::string prefix = ::testing::TempDir() + "/tape_reload_ckpt";
+  {
+    core::RrreConfig half = config;
+    half.epochs = 2;
+    core::RrreTrainer first(half);
+    first.Fit(corpus);
+    ASSERT_TRUE(first.Save(prefix).ok());
+  }
+  core::RrreTrainer trainer(config);
+  trainer.Fit(corpus);
+  ASSERT_TRUE(trainer.Load(prefix).ok());
+  ASSERT_TRUE(trainer.Resume().ok());
+  EXPECT_EQ(trainer.TapeStats().replay_fallbacks, 0);
+  EXPECT_GT(trainer.TapeStats().replay_steps, 0);
+  RemoveCheckpoint(prefix);
+}
+
 TEST_F(TapeTrainingTest, StatsCountTailBatchFingerprintImmediately) {
   // Regression: the final step's fingerprint used to be folded into
   // distinct_sequences only by the NEXT BeginStep()/Clear(), so stats read

@@ -2,9 +2,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/deepconn.h"
+#include "baselines/der.h"
+#include "baselines/narre.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "core/config.h"
@@ -182,20 +187,28 @@ FitResult RunFit(const core::RrreConfig& config, int threads) {
 }
 
 TEST_F(ParallelDeterminismTest, ShardedFitBitwiseAcrossThreadCounts) {
-  core::RrreConfig config = SmallConfig();
-  config.epochs = 2;
-  config.shard_size = 4;
-  const FitResult serial = RunFit(config, 1);
-  ASSERT_EQ(serial.losses.size(), 2u);
-  for (int threads : {2, 4}) {
-    const FitResult parallel = RunFit(config, threads);
-    EXPECT_EQ(parallel.losses, serial.losses) << "threads=" << threads;
-    EXPECT_EQ(parallel.params, serial.params) << "threads=" << threads;
-    EXPECT_EQ(parallel.ratings, serial.ratings) << "threads=" << threads;
-    EXPECT_EQ(parallel.reliabilities, serial.reliabilities)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.brmse, serial.brmse) << "threads=" << threads;
-    EXPECT_EQ(parallel.auc, serial.auc) << "threads=" << threads;
+  // shard_size 16 >= batch_size: one shard per batch, run as a lone shard.
+  for (int64_t shard : {int64_t{4}, int64_t{16}}) {
+    core::RrreConfig config = SmallConfig();
+    config.epochs = 2;
+    config.shard_size = shard;
+    const FitResult serial = RunFit(config, 1);
+    ASSERT_EQ(serial.losses.size(), 2u);
+    for (int threads : {2, 4}) {
+      const FitResult parallel = RunFit(config, threads);
+      EXPECT_EQ(parallel.losses, serial.losses)
+          << "shard=" << shard << " threads=" << threads;
+      EXPECT_EQ(parallel.params, serial.params)
+          << "shard=" << shard << " threads=" << threads;
+      EXPECT_EQ(parallel.ratings, serial.ratings)
+          << "shard=" << shard << " threads=" << threads;
+      EXPECT_EQ(parallel.reliabilities, serial.reliabilities)
+          << "shard=" << shard << " threads=" << threads;
+      EXPECT_EQ(parallel.brmse, serial.brmse)
+          << "shard=" << shard << " threads=" << threads;
+      EXPECT_EQ(parallel.auc, serial.auc)
+          << "shard=" << shard << " threads=" << threads;
+    }
   }
 }
 
@@ -271,8 +284,8 @@ TEST_F(ParallelDeterminismTest, ShardedFitBitwiseAcrossThreadCountsEager) {
 TEST_F(ParallelDeterminismTest, TapeMatchesEagerAcrossThreadCounts) {
   // The strongest cross-executor claim: taped+fused training at any thread
   // count is bitwise identical to eager serial training, on both the
-  // whole-batch and sharded paths.
-  for (int64_t shard : {int64_t{0}, int64_t{4}}) {
+  // whole-batch and sharded paths, and with one shard as wide as the batch.
+  for (int64_t shard : {int64_t{0}, int64_t{4}, int64_t{16}}) {
     core::RrreConfig eager_config = SmallConfig();
     eager_config.shard_size = shard;
     eager_config.use_tape = false;
@@ -301,6 +314,82 @@ TEST_F(ParallelDeterminismTest, UnevenShardSplitStaysExact) {
   const FitResult b = RunFit(config, 4);
   EXPECT_EQ(a.losses, b.losses);
   EXPECT_EQ(a.params, b.params);
+}
+
+// ---------------------------------------------------------------------------
+// Baseline-level: DeepCoNN, NARRE and DER train through the same
+// data-parallel step as RRRE, so the same thread-count contract holds for
+// them on one shard and on many, with the tape on and off.
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<baselines::NeuralRatingBaseline> MakeBaseline(
+    const std::string& name, int64_t shard_size, bool use_tape) {
+  baselines::NeuralRatingBaseline::CommonConfig common;
+  common.word_dim = 8;
+  common.epochs = 2;
+  common.batch_size = 16;
+  common.pretrain_epochs = 1;
+  common.shard_size = shard_size;
+  common.use_tape = use_tape;
+  if (name == "deepconn") {
+    baselines::DeepCoNN::Config c;
+    c.common = common;
+    c.doc_tokens = 16;
+    c.filters = 4;
+    c.latent_dim = 4;
+    c.fm_factors = 4;
+    return std::make_unique<baselines::DeepCoNN>(c);
+  }
+  if (name == "narre") {
+    baselines::Narre::Config c;
+    c.common = common;
+    c.max_tokens = 8;
+    c.s_u = 3;
+    c.s_i = 4;
+    c.filters = 4;
+    c.id_dim = 4;
+    c.attention_dim = 6;
+    c.latent_dim = 4;
+    c.fm_factors = 4;
+    return std::make_unique<baselines::Narre>(c);
+  }
+  baselines::Der::Config c;
+  c.common = common;
+  c.max_tokens = 8;
+  c.s_u = 3;
+  c.s_i = 4;
+  c.filters = 4;
+  c.hidden = 4;
+  c.id_dim = 4;
+  c.fm_factors = 4;
+  return std::make_unique<baselines::Der>(c);
+}
+
+TEST_F(ParallelDeterminismTest, NeuralBaselinesBitwiseAcrossThreadCounts) {
+  // 21 training reviews: a 16-example batch and a 5-example tail, so
+  // shard_size 4 covers full shards and a 1-example tail shard.
+  Rng split_rng(11);
+  const auto [train, test] = SmallCorpus().Split(0.7, split_rng);
+  std::vector<std::pair<int64_t, int64_t>> held_out;
+  for (const data::Review& r : test.reviews()) {
+    held_out.emplace_back(r.user, r.item);
+  }
+  ASSERT_FALSE(held_out.empty());
+  for (const char* name : {"deepconn", "narre", "der"}) {
+    for (int64_t shard : {int64_t{0}, int64_t{4}}) {
+      for (bool tape : {true, false}) {
+        std::vector<std::vector<double>> preds;
+        for (int threads : {1, 4}) {
+          ThreadPool::SetGlobalSize(threads);
+          auto model = MakeBaseline(name, shard, tape);
+          model->Fit(train);
+          preds.push_back(model->PredictRatings(held_out));
+        }
+        EXPECT_EQ(preds[1], preds[0])
+            << name << " shard=" << shard << " tape=" << tape;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

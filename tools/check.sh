@@ -204,11 +204,13 @@ else
   cmake --build build-ubsan -j "$(nproc)" --target test_kernels >/dev/null
   (cd build-ubsan && ctest --output-on-failure --no-tests=error -L kernels)
   # Deflake guard (same pattern as the serving-socket guard): the tape/replay
-  # training tests drive the per-shard executors on a parallel pool under -j;
-  # rerun them five times so a reintroduced scheduling race or a
-  # replay-fallback flake fails the leg instead of landing.
+  # training tests and the thread-count crosses drive the data-parallel step
+  # on a parallel pool under -j, including a lone shard whose kernels fan out
+  # while its GradSink and tape scopes are active; rerun them five times so a
+  # reintroduced scheduling race or a replay-fallback flake fails the leg
+  # instead of landing.
   (cd build && ctest --output-on-failure --no-tests=error \
-    -R "TapeTrainingTest" --repeat until-fail:5 -j)
+    -R "TapeTrainingTest|ParallelDeterminismTest" --repeat until-fail:5 -j)
   LEGS_RUN+=(kernels)
 fi
 
