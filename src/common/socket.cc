@@ -208,6 +208,12 @@ void Socket::CloseWithReset() {
 Result<std::optional<std::string>> LineReader::ReadLine() {
   while (true) {
     const size_t newline = buffer_.find('\n', pos_);
+    const size_t length =
+        (newline == std::string::npos ? buffer_.size() : newline) - pos_;
+    if (length > kMaxLineBytes) {
+      return Status::InvalidArgument("line longer than " +
+                                     std::to_string(kMaxLineBytes) + " bytes");
+    }
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(pos_, newline - pos_);
       pos_ = newline + 1;

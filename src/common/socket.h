@@ -1,6 +1,7 @@
 #ifndef RRRE_COMMON_SOCKET_H_
 #define RRRE_COMMON_SOCKET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -102,8 +103,15 @@ class Socket {
 /// signals clean EOF. A final unterminated line before EOF is returned as-is.
 class LineReader {
  public:
+  /// The longest line ReadLine returns, terminator excluded. The longest
+  /// line any protocol peer sends is a STATS reply of a few hundred bytes.
+  static constexpr size_t kMaxLineBytes = 64 * 1024;
+
   explicit LineReader(Socket* socket) : socket_(socket) {}
 
+  /// InvalidArgument once the peer sends more than kMaxLineBytes without a
+  /// newline, so one peer cannot make a reader buffer without limit; the
+  /// stream cannot be framed after that and the caller should close it.
   Result<std::optional<std::string>> ReadLine();
 
   /// Bytes buffered past the last completed line. After a *failed* ReadLine

@@ -33,8 +33,11 @@ namespace rrre::serve {
 ///   QUIT    -> "#bye", then the server closes the connection
 ///
 /// Errors are one line: "!ERR \t code \t message" with codes `parse`,
-/// `range`, `overload`, `reload`, `shutdown`, `busy`. An overloaded server
-/// answers `!ERR overload` immediately instead of queueing unboundedly.
+/// `range`, `overload`, `reload`, `busy` (connection limit), `upstream`
+/// (the router exhausted every replica) and `metrics` (metrics disabled).
+/// An overloaded server answers `!ERR overload` immediately instead of
+/// queueing unboundedly. A line longer than LineReader::kMaxLineBytes is
+/// answered `!ERR parse` and the connection is closed.
 struct Request {
   enum class Type {
     kBlank,    ///< Empty line or comment — no response.

@@ -80,6 +80,140 @@ std::string RelabelShardLine(const std::string& line, int shard) {
   return name + line.substr(space) + "\n";
 }
 
+/// The router's one kind of link to a shard, used by client sessions, the
+/// health pass and the startup probe. It connects lazily with both
+/// per-operation deadlines at backend_timeout_ms — the stall detector: a
+/// backend that stops answering turns into DeadlineExceeded and the request
+/// fails over — and closes after any failed operation. A failed link is
+/// never reused: leftover reply bytes would misalign every later
+/// request/reply pairing on it. The router.backend.* failpoints fire only on
+/// links made with `failpoints` (client sessions), so the health thread
+/// never consumes a test's fault schedule.
+class BackendLink {
+ public:
+  BackendLink(RouterOptions::Backend addr, int timeout_ms, bool failpoints)
+      : addr_(std::move(addr)),
+        timeout_ms_(timeout_ms),
+        failpoints_(failpoints) {}
+
+  /// Sends one request wire. On failure `*maybe_delivered` says whether any
+  /// byte left this host — the never-sent / maybe-delivered distinction
+  /// (Socket::SendAll's partial-progress count) that gates whether
+  /// non-idempotent verbs may be resent.
+  Status Send(const std::string& wire, bool* maybe_delivered = nullptr) {
+    bool delivered = false;
+    if (maybe_delivered == nullptr) maybe_delivered = &delivered;
+    *maybe_delivered = false;
+    if (open_ == nullptr) {
+      auto sock = Socket::Connect(addr_.host, addr_.port);
+      if (!sock.ok()) return sock.status();
+      RRRE_RETURN_IF_ERROR(sock.value().SetRecvTimeout(timeout_ms_));
+      RRRE_RETURN_IF_ERROR(sock.value().SetSendTimeout(timeout_ms_));
+      open_ = std::make_unique<Open>(std::move(sock).ValueOrDie());
+    }
+    if (Fires("router.backend.send")) {
+      // Injected failure before any byte leaves: the never-sent path.
+      Close();
+      return Status::IoError("backend send failed before any byte"
+                             " [failpoint router.backend.send]");
+    }
+    size_t sent = 0;
+    const Status status = open_->socket.SendAll(wire, &sent);
+    *maybe_delivered = sent > 0;
+    if (!status.ok()) {
+      Close();
+      return status;
+    }
+    if (Fires("router.backend.reset")) {
+      // Reset after the request went out: delivery is uncertain.
+      Close();
+      return Status::IoError("backend connection reset after send"
+                             " [failpoint router.backend.reset]");
+    }
+    return Status::Ok();
+  }
+
+  /// Reads one reply line; closes the link on any failure (EOF, reset read
+  /// as EOF, deadline, a torn or over-long line).
+  Result<std::string> ReadLine() {
+    if (open_ == nullptr) return Status::IoError("backend link is closed");
+    if (Fires("router.backend.stall")) {
+      Close();
+      return Status::DeadlineExceeded(
+          "backend stalled [failpoint router.backend.stall]");
+    }
+    auto line = open_->reader.ReadLine();
+    if (!line.ok()) {
+      Close();
+      return line.status();
+    }
+    if (!line.value().has_value()) {
+      const size_t torn = open_->reader.partial_bytes();
+      Close();
+      return Status::IoError(
+          torn > 0 ? "backend closed mid-response (" + std::to_string(torn) +
+                         " bytes of a torn line)"
+                   : "backend closed the connection");
+    }
+    if (Fires("router.backend.torn")) {
+      // The response was cut off mid-line: discard what arrived and close
+      // the link, exactly as a real torn read would.
+      Close();
+      return Status::IoError(
+          "backend response torn [failpoint router.backend.torn]");
+    }
+    return std::move(*line.value());
+  }
+
+  void Close() { open_.reset(); }
+
+ private:
+  /// A connected socket and its reader, heap-held so the reader's socket
+  /// pointer stays valid when the link moves.
+  struct Open {
+    explicit Open(Socket s) : socket(std::move(s)) {}
+    Socket socket;
+    common::LineReader reader{&socket};
+  };
+
+  bool Fires(const char* failpoint) const {
+    return failpoints_ && common::failpoint::Enabled() &&
+           common::failpoint::Check(failpoint).has_value();
+  }
+
+  RouterOptions::Backend addr_;
+  int timeout_ms_;
+  bool failpoints_;
+  std::unique_ptr<Open> open_;
+};
+
+/// Reads one STATS reply; a reply that does not parse closes the link.
+Result<BackendStatsFields> ReadStats(BackendLink& link) {
+  auto line = link.ReadLine();
+  if (!line.ok()) return line.status();
+  auto stats = ParseBackendStats(line.value());
+  if (!stats.ok()) link.Close();
+  return stats;
+}
+
+Result<BackendStatsFields> QueryStats(BackendLink& link) {
+  RRRE_RETURN_IF_ERROR(link.Send("STATS\n"));
+  return ReadStats(link);
+}
+
+/// The health pass's one round trip: PING must pong (liveness) and STATS
+/// must carry a fingerprint (version).
+Result<BackendStatsFields> CheckHealth(BackendLink& link) {
+  RRRE_RETURN_IF_ERROR(link.Send("PING\nSTATS\n"));
+  auto pong = link.ReadLine();
+  if (!pong.ok()) return pong.status();
+  if (pong.value() != "#pong") {
+    link.Close();
+    return Status::Internal("PING answered " + pong.value());
+  }
+  return ReadStats(link);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -126,75 +260,39 @@ std::vector<int> ConsistentRing::PreferenceOrder(int64_t user) const {
 }
 
 // ---------------------------------------------------------------------------
-// Backend state (health-thread-owned connection + shared flags)
+// Backend state (health-thread-owned link + shared flags)
 // ---------------------------------------------------------------------------
 
 struct Router::BackendState {
+  BackendState(const RouterOptions::Backend& a, int timeout_ms)
+      : addr(a), health(a, timeout_ms, /*failpoints=*/false) {}
   RouterOptions::Backend addr;
   std::atomic<bool> alive{true};
   std::atomic<bool> quarantined{false};
   std::atomic<uint64_t> fingerprint{0};
   std::atomic<int64_t> generation{0};
-  /// Health connection — touched only by the health thread.
-  Socket health_socket;
-  std::unique_ptr<common::LineReader> health_reader;
+  BackendLink health;  ///< Touched only by the health thread.
 };
 
 // ---------------------------------------------------------------------------
-// ClientConn: one synchronous handler thread per client connection
+// Session: one client connection's request handler
 // ---------------------------------------------------------------------------
 
-/// Requests on a connection are handled strictly in arrival order by one
-/// thread, so pipelined clients get ordered responses for free and a
-/// connection can never interleave two parameter versions within a single
-/// routed response. Each connection owns its own lazy backend links — no
-/// cross-connection multiplexing, so a condemned link can only ever
-/// misalign the connection that broke it (and it is closed before that).
-class Router::ClientConn
-    : public std::enable_shared_from_this<Router::ClientConn> {
+/// Requests on a connection are handled strictly in arrival order on its
+/// reader thread, each answered before the next is read, so a connection
+/// can never interleave two parameter versions within a single routed
+/// response. Each session owns its own lazy backend links — no
+/// cross-connection multiplexing, so a failed link can only ever misalign
+/// the connection that broke it (and it is closed before that).
+class Router::Session {
  public:
-  ClientConn(Router* router, Socket socket, uint64_t conn_seed)
+  Session(Router* router, int64_t index)
       : router_(router),
-        socket_(std::move(socket)),
-        links_(router->backends_.size()),
-        rng_(0x9e3779b97f4a7c15ULL * (conn_seed + 1)) {}
-
-  void Start() {
-    auto self = shared_from_this();
-    thread_ = std::thread([self] { self->HandlerLoop(); });
-  }
-
-  void AbortRead() { socket_.ShutdownRead(); }
-  bool Finished() const { return finished_.load(); }
-  void Join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  ~ClientConn() {
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  /// Lazy connection to one backend. The LineReader points at `socket`,
-  /// which lives at a stable address because links_ is sized once.
-  struct Link {
-    Socket socket;
-    std::unique_ptr<common::LineReader> reader;
-    bool connected = false;
-  };
-
-  void HandlerLoop() {
-    common::LineReader reader(&socket_);
-    for (;;) {
-      auto line = reader.ReadLine();
-      if (!line.ok() || !line.value().has_value()) break;
-      bool close = false;
-      const std::string reply = HandleLine(*line.value(), &close);
-      if (!reply.empty() && !socket_.SendAll(reply).ok()) break;
-      if (close) break;
+        rng_(0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(index) + 1)) {
+    for (const auto& backend : router->backends_) {
+      links_.emplace_back(backend->addr, router->options_.backend_timeout_ms,
+                          /*failpoints=*/true);
     }
-    socket_.ShutdownBoth();
-    finished_.store(true);
   }
 
   std::string HandleLine(const std::string& line, bool* close) {
@@ -238,102 +336,7 @@ class Router::ClientConn
     return "";
   }
 
-  // -- backend link primitives ----------------------------------------------
-
-  Status EnsureLink(int k) {
-    Link& link = links_[static_cast<size_t>(k)];
-    if (link.connected) return Status::Ok();
-    const auto& addr = router_->backends_[static_cast<size_t>(k)]->addr;
-    auto sock = Socket::Connect(addr.host, addr.port);
-    if (!sock.ok()) return sock.status();
-    // Per-op deadlines are the stall detector: a backend that stops
-    // answering turns into DeadlineExceeded here and the request fails over.
-    RRRE_RETURN_IF_ERROR(
-        sock.value().SetRecvTimeout(router_->options_.backend_timeout_ms));
-    RRRE_RETURN_IF_ERROR(
-        sock.value().SetSendTimeout(router_->options_.backend_timeout_ms));
-    link.socket = std::move(sock).ValueOrDie();
-    link.reader = std::make_unique<common::LineReader>(&link.socket);
-    link.connected = true;
-    return Status::Ok();
-  }
-
-  /// Closes a link after any failed operation. A failed link is never
-  /// reused: leftover response bytes would misalign every later
-  /// request/response pairing on it.
-  void CondemnLink(int k) {
-    Link& link = links_[static_cast<size_t>(k)];
-    link.reader.reset();
-    link.socket = Socket();
-    link.connected = false;
-  }
-
-  /// Sends one request wire to backend `k`. On failure `*maybe_delivered`
-  /// says whether any byte left this host — the never-sent / maybe-delivered
-  /// distinction (Socket::SendAll's partial-progress count) that gates
-  /// whether non-idempotent verbs may be resent.
-  Status SendToBackend(int k, const std::string& wire, bool* maybe_delivered) {
-    *maybe_delivered = false;
-    RRRE_RETURN_IF_ERROR(EnsureLink(k));
-    Link& link = links_[static_cast<size_t>(k)];
-    if (common::failpoint::Enabled() &&
-        common::failpoint::Check("router.backend.send").has_value()) {
-      // Injected failure before any byte leaves: the never-sent path.
-      CondemnLink(k);
-      return Status::IoError("backend send failed before any byte"
-                             " [failpoint router.backend.send]");
-    }
-    size_t sent = 0;
-    const Status status = link.socket.SendAll(wire, &sent);
-    if (!status.ok()) {
-      *maybe_delivered = sent > 0;
-      CondemnLink(k);
-      return status;
-    }
-    *maybe_delivered = true;
-    if (common::failpoint::Enabled() &&
-        common::failpoint::Check("router.backend.reset").has_value()) {
-      // Reset after the request went out: delivery is uncertain.
-      CondemnLink(k);
-      return Status::IoError("backend connection reset after send"
-                             " [failpoint router.backend.reset]");
-    }
-    return Status::Ok();
-  }
-
-  /// Reads one response line from backend `k`; condemns the link on any
-  /// failure (EOF, reset-as-EOF, deadline, torn line).
-  Result<std::string> ReadResponseLine(int k) {
-    Link& link = links_[static_cast<size_t>(k)];
-    if (common::failpoint::Enabled() &&
-        common::failpoint::Check("router.backend.stall").has_value()) {
-      CondemnLink(k);
-      return Status::DeadlineExceeded(
-          "backend stalled [failpoint router.backend.stall]");
-    }
-    auto line = link.reader->ReadLine();
-    if (!line.ok()) {
-      CondemnLink(k);
-      return line.status();
-    }
-    if (!line.value().has_value()) {
-      const size_t torn = link.reader->partial_bytes();
-      CondemnLink(k);
-      return Status::IoError(
-          torn > 0 ? "backend closed mid-response (" + std::to_string(torn) +
-                         " bytes of a torn line)"
-                   : "backend closed the connection");
-    }
-    if (common::failpoint::Enabled() &&
-        common::failpoint::Check("router.backend.torn").has_value()) {
-      // The response was cut off mid-line: discard what arrived and condemn
-      // the link, exactly as a real torn read would.
-      CondemnLink(k);
-      return Status::IoError(
-          "backend response torn [failpoint router.backend.torn]");
-    }
-    return *line.value();
-  }
+  BackendLink& Link(int k) { return links_[static_cast<size_t>(k)]; }
 
   void Backoff(int64_t attempt) {
     std::this_thread::sleep_for(std::chrono::microseconds(
@@ -374,13 +377,12 @@ class Router::ClientConn
       }
       const int k = PickBackend(preference, attempt);
       if (k < 0) continue;
-      bool maybe_delivered = false;
-      const Status sent = SendToBackend(k, wire, &maybe_delivered);
+      const Status sent = Link(k).Send(wire);
       if (!sent.ok()) {
         last = sent;
         continue;
       }
-      auto resp = ReadResponseLine(k);
+      auto resp = Link(k).ReadLine();
       if (!resp.ok()) {
         last = resp.status();
         continue;
@@ -442,10 +444,7 @@ class Router::ClientConn
         wire += std::to_string(user) + "\t" + std::to_string(item) + "\n";
       }
       if (wire.empty()) continue;
-      bool maybe_delivered = false;
-      if (!SendToBackend(serving[static_cast<size_t>(s)], wire,
-                         &maybe_delivered)
-               .ok()) {
+      if (!Link(serving[static_cast<size_t>(s)]).Send(wire).ok()) {
         broken[static_cast<size_t>(s)] = true;
       }
     }
@@ -464,7 +463,7 @@ class Router::ClientConn
           missing.push_back(item);
           continue;
         }
-        auto resp = ReadResponseLine(k);
+        auto resp = Link(k).ReadLine();
         if (!resp.ok()) {
           slice_dead = true;
           missing.push_back(item);
@@ -476,11 +475,11 @@ class Router::ClientConn
           continue;
         }
         // Responses carry their ids: a line that is not for this item means
-        // the stream lost alignment — never serve it, condemn the link.
+        // the stream lost alignment — never serve it, close the link.
         const std::string expect =
             std::to_string(user) + "\t" + std::to_string(item) + "\t";
         if (!common::StartsWith(got, expect)) {
-          CondemnLink(k);
+          Link(k).Close();
           slice_dead = true;
           missing.push_back(item);
           continue;
@@ -513,14 +512,6 @@ class Router::ClientConn
 
   // -- rolling reload -------------------------------------------------------
 
-  Result<BackendStatsFields> QueryBackendStats(int k) {
-    bool maybe_delivered = false;
-    RRRE_RETURN_IF_ERROR(SendToBackend(k, "STATS\n", &maybe_delivered));
-    auto line = ReadResponseLine(k);
-    if (!line.ok()) return line.status();
-    return ParseBackendStats(line.value());
-  }
-
   /// After a RELOAD whose delivery is uncertain (sent but the answer was
   /// lost): never resend — poll STATS until the generation advances past
   /// `generation_before`. Resending would reload twice; polling observes
@@ -531,7 +522,7 @@ class Router::ClientConn
         std::chrono::milliseconds(router_->options_.backend_timeout_ms);
     Status last = Status::DeadlineExceeded("reload outcome unknown");
     while (std::chrono::steady_clock::now() < deadline) {
-      auto stats = QueryBackendStats(k);
+      auto stats = QueryStats(Link(k));
       if (stats.ok()) {
         if (stats.value().generation > generation_before) return Status::Ok();
         last = Status::Internal("reload did not advance the generation");
@@ -544,14 +535,14 @@ class Router::ClientConn
   }
 
   Status ReloadBackend(int k) {
-    auto before = QueryBackendStats(k);
+    auto before = QueryStats(Link(k));
     if (!before.ok()) return before.status();
     Status last = Status::FailedPrecondition("no reload attempt made");
     for (int64_t attempt = 0; attempt <= router_->options_.max_retries;
          ++attempt) {
       if (attempt > 0) Backoff(attempt - 1);
       bool maybe_delivered = false;
-      const Status sent = SendToBackend(k, "RELOAD\n", &maybe_delivered);
+      const Status sent = Link(k).Send("RELOAD\n", &maybe_delivered);
       if (!sent.ok()) {
         if (!maybe_delivered) {
           // Never left this host: resending cannot double-reload.
@@ -560,7 +551,7 @@ class Router::ClientConn
         }
         return AwaitReloadLanded(k, before.value().generation);
       }
-      auto resp = ReadResponseLine(k);
+      auto resp = Link(k).ReadLine();
       if (!resp.ok()) {
         return AwaitReloadLanded(k, before.value().generation);
       }
@@ -614,7 +605,7 @@ class Router::ClientConn
       min_generation = 0;
       converged = true;
       for (size_t i = 0; i < serving.size(); ++i) {
-        auto stats = QueryBackendStats(serving[i]);
+        auto stats = QueryStats(Link(serving[i]));
         if (!stats.ok()) {
           converged = false;
           continue;
@@ -671,9 +662,8 @@ class Router::ClientConn
     std::shared_lock<std::shared_mutex> barrier(router_->reload_mu_);
     std::string text = router_->metrics_->RenderText();
     for (const int k : router_->ServingBackends()) {
-      bool maybe_delivered = false;
-      if (!SendToBackend(k, "METRICS\n", &maybe_delivered).ok()) continue;
-      auto header = ReadResponseLine(k);
+      if (!Link(k).Send("METRICS\n").ok()) continue;
+      auto header = Link(k).ReadLine();
       if (!header.ok()) continue;
       if (!common::StartsWith(header.value(), "#metrics\tlines=")) {
         continue;  // Metrics disabled on that shard — its error was 1 line.
@@ -683,7 +673,7 @@ class Router::ClientConn
       std::string shard_text;
       bool ok = true;
       for (long long i = 0; i < lines; ++i) {
-        auto line = ReadResponseLine(k);
+        auto line = Link(k).ReadLine();
         if (!line.ok()) {
           ok = false;
           break;
@@ -698,11 +688,8 @@ class Router::ClientConn
   }
 
   Router* router_;
-  Socket socket_;
-  std::vector<Link> links_;
+  std::vector<BackendLink> links_;  ///< One per backend, by index.
   common::Rng rng_;
-  std::thread thread_;
-  std::atomic<bool> finished_{false};
 };
 
 // ---------------------------------------------------------------------------
@@ -719,25 +706,15 @@ Result<std::unique_ptr<Router>> Router::Start(const RouterOptions& options) {
   std::vector<BackendStatsFields> probed;
   for (size_t k = 0; k < options.backends.size(); ++k) {
     const auto& addr = options.backends[k];
-    auto sock = Socket::Connect(addr.host, addr.port);
-    if (!sock.ok()) {
-      return Status::IoError("backend " + std::to_string(k) + " (" +
-                                 addr.host + ":" + std::to_string(addr.port) +
-                                 ") unreachable: " +
-                                 sock.status().ToString());
+    BackendLink link(addr, options.backend_timeout_ms, /*failpoints=*/false);
+    auto stats = QueryStats(link);
+    if (!stats.ok()) {
+      return Status(stats.status().code(),
+                    "backend " + std::to_string(k) + " (" + addr.host + ":" +
+                        std::to_string(addr.port) +
+                        ") failed the startup probe: " +
+                        stats.status().message());
     }
-    RRRE_RETURN_IF_ERROR(
-        sock.value().SetRecvTimeout(options.backend_timeout_ms));
-    RRRE_RETURN_IF_ERROR(sock.value().SendAll("STATS\n"));
-    common::LineReader reader(&sock.value());
-    auto line = reader.ReadLine();
-    if (!line.ok()) return line.status();
-    if (!line.value().has_value()) {
-      return Status::IoError("backend " + std::to_string(k) +
-                                 " closed during the startup probe");
-    }
-    auto stats = ParseBackendStats(*line.value());
-    if (!stats.ok()) return stats.status();
     probed.push_back(stats.value());
     if (probed.front().users != probed.back().users ||
         probed.front().items != probed.back().items) {
@@ -770,7 +747,14 @@ Result<std::unique_ptr<Router>> Router::Start(const RouterOptions& options) {
   router->fleet_users_.store(probed.front().users);
   router->fleet_items_.store(probed.front().items);
   router->fleet_fingerprint_.store(probed.front().fingerprint);
-  router->accept_thread_ = std::thread(&Router::AcceptLoop, router.get());
+  router->lines_.Start([r = router.get()](int64_t index) {
+    auto session = std::make_shared<Session>(r, index);
+    return [session](const std::string& line, LineServer::Reply reply) {
+      bool close = false;
+      reply.Send(session->HandleLine(line, &close));
+      return !close;
+    };
+  });
   router->health_thread_ = std::thread(&Router::HealthLoop, router.get());
   return router;
 }
@@ -779,12 +763,15 @@ Router::Router(const RouterOptions& options, ConsistentRing ring,
                Socket listener, std::unique_ptr<obs::MetricsRegistry> metrics)
     : options_(options),
       ring_(std::move(ring)),
-      listener_(std::move(listener)),
-      metrics_(std::move(metrics)) {
+      metrics_(std::move(metrics)),
+      lines_(std::move(listener), {.max_connections = options.max_connections,
+                                   .read_timeout_ms = options.read_timeout_ms,
+                                   .metrics = metrics_.get(),
+                                   .metrics_prefix = "rrre_router",
+                                   .subject = "client connections"}) {
   for (const auto& addr : options_.backends) {
-    auto state = std::make_unique<BackendState>();
-    state->addr = addr;
-    backends_.push_back(std::move(state));
+    backends_.push_back(
+        std::make_unique<BackendState>(addr, options_.backend_timeout_ms));
   }
   if (metrics_ != nullptr) {
     m_requests_ = metrics_->GetCounter(
@@ -816,8 +803,6 @@ Router::Router(const RouterOptions& options, ConsistentRing ring,
     m_quarantined_ = metrics_->GetGauge(
         "rrre_router_quarantined",
         "backends currently quarantined for fingerprint divergence");
-    m_connections_active_ = metrics_->GetGauge(
-        "rrre_router_connections_active", "currently open client connections");
   }
 }
 
@@ -836,62 +821,6 @@ std::vector<int> Router::ServingBackends() const {
   return out;
 }
 
-void Router::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto client = listener_.AcceptWithTimeout(/*timeout_ms=*/100);
-    ReapFinishedConnections();
-    if (!client.ok()) {
-      if (stopping_.load()) break;
-      RRRE_LOG_WARNING << "accept failed: " << client.status().ToString();
-      continue;
-    }
-    if (!client.value().has_value()) continue;  // Poll timeout.
-    Socket socket = std::move(*client.value());
-    if (options_.read_timeout_ms > 0) {
-      socket.SetRecvTimeout(options_.read_timeout_ms);
-      socket.SetSendTimeout(options_.read_timeout_ms);
-    }
-    std::shared_ptr<ClientConn> conn;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (static_cast<int64_t>(connections_.size()) >=
-          options_.max_connections) {
-        socket.SendAll(FormatError("busy", "connection limit reached"));
-        continue;  // Socket closes on scope exit.
-      }
-      conn = std::make_shared<ClientConn>(
-          this, std::move(socket),
-          static_cast<uint64_t>(connections_accepted_.load()));
-      connections_.push_back(conn);
-      if (m_connections_active_ != nullptr) {
-        m_connections_active_->Set(static_cast<int64_t>(connections_.size()));
-      }
-    }
-    connections_accepted_.fetch_add(1);
-    conn->Start();
-  }
-}
-
-void Router::ReapFinishedConnections() {
-  std::vector<std::shared_ptr<ClientConn>> finished;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < connections_.size();) {
-      if (connections_[i]->Finished()) {
-        finished.push_back(std::move(connections_[i]));
-        connections_[i] = std::move(connections_.back());
-        connections_.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    if (m_connections_active_ != nullptr) {
-      m_connections_active_->Set(static_cast<int64_t>(connections_.size()));
-    }
-  }
-  for (auto& conn : finished) conn->Join();
-}
-
 void Router::HealthLoop() {
   while (!stopping_.load()) {
     HealthPass();
@@ -902,10 +831,6 @@ void Router::HealthLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
-  for (auto& backend : backends_) {
-    backend->health_reader.reset();
-    backend->health_socket = Socket();
-  }
 }
 
 void Router::HealthPass() {
@@ -915,44 +840,11 @@ void Router::HealthPass() {
   std::shared_lock<std::shared_mutex> barrier(reload_mu_, std::try_to_lock);
   if (!barrier.owns_lock()) return;
   const uint64_t fleet_fp = fleet_fingerprint_.load();
-  for (size_t k = 0; k < backends_.size(); ++k) {
-    BackendState& backend = *backends_[k];
-    auto fail = [&] {
-      backend.alive.store(false);
-      backend.health_reader.reset();
-      backend.health_socket = Socket();
-    };
-    if (!backend.health_socket.valid()) {
-      auto sock = Socket::Connect(backend.addr.host, backend.addr.port);
-      if (!sock.ok() ||
-          !sock.value().SetRecvTimeout(options_.backend_timeout_ms).ok() ||
-          !sock.value().SetSendTimeout(options_.backend_timeout_ms).ok()) {
-        fail();
-        continue;
-      }
-      backend.health_socket = std::move(sock).ValueOrDie();
-      backend.health_reader =
-          std::make_unique<common::LineReader>(&backend.health_socket);
-    }
-    // Liveness: PING must pong. Version: STATS must carry a fingerprint.
-    if (!backend.health_socket.SendAll("PING\nSTATS\n").ok()) {
-      fail();
-      continue;
-    }
-    auto pong = backend.health_reader->ReadLine();
-    if (!pong.ok() || !pong.value().has_value() ||
-        *pong.value() != "#pong") {
-      fail();
-      continue;
-    }
-    auto stats_line = backend.health_reader->ReadLine();
-    if (!stats_line.ok() || !stats_line.value().has_value()) {
-      fail();
-      continue;
-    }
-    auto stats = ParseBackendStats(*stats_line.value());
+  for (auto& state : backends_) {
+    BackendState& backend = *state;
+    auto stats = CheckHealth(backend.health);
     if (!stats.ok()) {
-      fail();
+      backend.alive.store(false);
       continue;
     }
     backend.alive.store(true);
@@ -976,30 +868,22 @@ void Router::HealthPass() {
 }
 
 void Router::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_done_) return;
-    shutdown_done_ = true;
-  }
-  stopping_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (health_thread_.joinable()) health_thread_.join();
-  std::vector<std::shared_ptr<ClientConn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns = connections_;
-  }
-  // Half-close every client: handlers finish the request in flight (every
-  // admitted request is answered), then see EOF and exit.
-  for (auto& conn : conns) conn->AbortRead();
-  for (auto& conn : conns) conn->Join();
-  std::lock_guard<std::mutex> lock(mu_);
-  connections_.clear();
+  std::call_once(shutdown_once_, [this] {
+    stopping_.store(true);
+    if (health_thread_.joinable()) health_thread_.join();
+    // Half-close every client: sessions finish the request in flight (every
+    // admitted request is answered), then see EOF and exit.
+    lines_.Shutdown();
+  });
 }
 
 RouterStats Router::stats() const {
+  const LineServer::Stats conns = lines_.stats();
   RouterStats out;
-  out.connections_accepted = connections_accepted_.load();
+  out.connections_accepted = conns.accepted;
+  out.connections_active = conns.active;
+  out.connections_rejected = conns.rejected;
+  out.read_timeouts = conns.read_timeouts;
   out.requests = requests_.load();
   out.parse_errors = parse_errors_.load();
   out.retries = retries_.load();
@@ -1010,8 +894,6 @@ RouterStats Router::stats() const {
   for (const auto& backend : backends_) {
     out.quarantined += backend->quarantined.load() ? 1 : 0;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  out.connections_active = static_cast<int64_t>(connections_.size());
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "common/socket.h"
 #include "common/status.h"
 #include "obs/metrics.h"
+#include "serve/line_server.h"
 
 namespace rrre::serve {
 
@@ -83,6 +85,8 @@ struct RouterOptions {
 struct RouterStats {
   int64_t connections_accepted = 0;
   int64_t connections_active = 0;
+  int64_t connections_rejected = 0;
+  int64_t read_timeouts = 0;  ///< Clients dropped by the read deadline.
   int64_t requests = 0;      ///< Protocol requests parsed (incl. control).
   int64_t parse_errors = 0;
   int64_t retries = 0;       ///< Backend round-trips retried after a fault.
@@ -93,13 +97,14 @@ struct RouterStats {
   int64_t quarantined = 0;   ///< Backends currently fingerprint-diverged.
 };
 
-/// The rrre_routed sharding proxy: a thin line-protocol front-end that
-/// consistent-hashes users across N rrre_served backends, fans bare-user
-/// catalog requests out to every serving shard (contiguous item slices,
-/// merged back in item order), health-checks backends via PING, fails
-/// requests over to a replica on connection reset / EOF / deadline, and
-/// orchestrates rolling RELOADs behind a params-fingerprint barrier so no
-/// client connection ever observes two parameter versions.
+/// The rrre_routed sharding proxy: a thin line-protocol front-end, on the
+/// same LineServer as rrre_served, that consistent-hashes users across N
+/// rrre_served backends, fans bare-user catalog requests out to every
+/// serving shard (contiguous item slices, merged back in item order),
+/// health-checks backends via PING, fails requests over to a replica on
+/// connection reset / EOF / deadline, and orchestrates rolling RELOADs
+/// behind a params-fingerprint barrier so no client connection ever
+/// observes two parameter versions.
 ///
 /// Response bytes are relayed (or, for catalog fan-out, reassembled from
 /// per-pair relays) verbatim, so a routed response is byte-identical to the
@@ -116,16 +121,17 @@ struct RouterStats {
 /// (Socket::SendAll's bytes_sent out-param is what makes the distinction
 /// observable).
 ///
-/// Failpoints (armed per backend round-trip, see common/failpoint.h):
-/// `router.backend.send` (injected failure before any byte leaves — the
-/// never-sent path), `router.backend.reset` (connection reset after the
-/// request was sent), `router.backend.stall` (backend deadline fires while
-/// awaiting the response), `router.backend.torn` (response cut off
-/// mid-line; the connection is condemned).
+/// Failpoints (armed per client round-trip to a backend, never on the
+/// health pass; see common/failpoint.h): `router.backend.send` (injected
+/// failure before any byte leaves — the never-sent path),
+/// `router.backend.reset` (connection reset after the request was sent),
+/// `router.backend.stall` (backend deadline fires while awaiting the
+/// response), `router.backend.torn` (response cut off mid-line; the link is
+/// closed).
 class Router {
  public:
   /// Probes every backend, verifies the fleet serves one parameter version,
-  /// binds the listener and starts the accept + health threads.
+  /// binds the listener and starts accepting and health checking.
   static common::Result<std::unique_ptr<Router>> Start(
       const RouterOptions& options);
   ~Router();
@@ -134,7 +140,7 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Bound port (useful with options.port == 0).
-  uint16_t port() const { return listener_.local_port(); }
+  uint16_t port() const { return lines_.port(); }
 
   /// Graceful drain; idempotent; blocks until everything is joined.
   void Shutdown();
@@ -153,15 +159,13 @@ class Router {
   bool BackendServing(int index) const;
 
  private:
-  class ClientConn;
+  class Session;
   struct BackendState;
 
   Router(const RouterOptions& options, ConsistentRing ring,
          common::Socket listener,
          std::unique_ptr<obs::MetricsRegistry> metrics);
 
-  void AcceptLoop();
-  void ReapFinishedConnections();
   void HealthLoop();
   /// One health pass: PING + STATS every backend, refresh fleet bounds,
   /// quarantine fingerprint divergers.
@@ -173,7 +177,6 @@ class Router {
 
   const RouterOptions options_;
   const ConsistentRing ring_;
-  common::Socket listener_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* m_requests_ = nullptr;
   obs::Counter* m_parse_errors_ = nullptr;
@@ -184,7 +187,6 @@ class Router {
   obs::Counter* m_reload_barriers_ = nullptr;
   obs::Gauge* m_backends_serving_ = nullptr;
   obs::Gauge* m_quarantined_ = nullptr;
-  obs::Gauge* m_connections_active_ = nullptr;
 
   std::vector<std::unique_ptr<BackendState>> backends_;
   /// Corpus bounds the fleet agreed on (refreshed by health passes).
@@ -198,7 +200,7 @@ class Router {
   /// parameter versions" invariant.
   mutable std::shared_mutex reload_mu_;
 
-  std::atomic<bool> stopping_{false};
+  std::atomic<bool> stopping_{false};  ///< Stops the health thread.
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> parse_errors_{0};
   std::atomic<int64_t> retries_{0};
@@ -206,14 +208,12 @@ class Router {
   std::atomic<int64_t> upstream_errors_{0};
   std::atomic<int64_t> fanouts_{0};
   std::atomic<int64_t> reload_barriers_{0};
-  std::atomic<int64_t> connections_accepted_{0};
 
-  mutable std::mutex mu_;  ///< Guards connections_ and shutdown_done_.
-  std::vector<std::shared_ptr<ClientConn>> connections_;
-  bool shutdown_done_ = false;
-
-  std::thread accept_thread_;
+  std::once_flag shutdown_once_;
   std::thread health_thread_;
+  /// Declared last: it registers into metrics_, and its connection threads
+  /// call into everything above.
+  LineServer lines_;
 };
 
 }  // namespace rrre::serve

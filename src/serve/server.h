@@ -4,17 +4,19 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/socket.h"
 #include "common/status.h"
 #include "core/config.h"
 #include "obs/metrics.h"
 #include "serve/batcher.h"
+#include "serve/line_server.h"
 
 namespace rrre::serve {
+
+struct Request;
 
 struct ServerOptions {
   /// Architecture config matching the checkpoint (the checkpoint stores
@@ -59,14 +61,14 @@ struct ServerStats {
 };
 
 /// The long-lived rrre_served server: accepts concurrent line-protocol
-/// connections (see serve/protocol.h), funnels score requests into the
-/// MicroBatcher, and writes responses back in request order per connection.
+/// connections (see serve/protocol.h) through a LineServer, funnels score
+/// requests into the MicroBatcher, and writes responses back in request
+/// order per connection.
 ///
-/// Connection state machine: a reader thread parses lines and either answers
-/// immediately (control, parse/range/overload errors) or registers an
-/// ordered pending slot fulfilled later by the batcher; a writer thread
-/// flushes slots strictly in request order, so pipelined clients get every
-/// response, in order, exactly once.
+/// Each request line gets an ordered reply slot. Control verbs and parse,
+/// range and overload errors fill it at once; score requests fill it from
+/// the batcher's callback, and the connection's writer sends the slots
+/// strictly in request order.
 ///
 /// Shutdown() drains gracefully: the listener stops, every connection's read
 /// side is half-closed (clients see EOF for new requests), all admitted
@@ -82,7 +84,7 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Bound port (useful with options.port == 0).
-  uint16_t port() const { return listener_.local_port(); }
+  uint16_t port() const { return lines_.port(); }
 
   /// Asynchronous hot reload of options.model_prefix (the SIGHUP path).
   /// The outcome is logged; pass `done` to observe it.
@@ -102,15 +104,13 @@ class Server {
   MicroBatcher& batcher() { return *batcher_; }
 
  private:
-  class Connection;
-
   Server(const ServerOptions& options,
          std::unique_ptr<obs::MetricsRegistry> metrics,
          std::unique_ptr<MicroBatcher> batcher, common::Socket listener);
 
-  void AcceptLoop();
-  /// Joins and erases finished connections (accept-loop thread only).
-  void ReapFinishedConnections();
+  /// The connection handler: answers one request line through `reply`.
+  bool HandleLine(const std::string& line, LineServer::Reply reply);
+  void HandleScoreRequest(const Request& req, LineServer::Reply reply);
   std::string FormatStatsLine() const;
   std::string FormatMetricsResponse() const;
 
@@ -123,27 +123,17 @@ class Server {
   obs::Counter* m_parse_errors_ = nullptr;
   obs::Counter* m_range_errors_ = nullptr;
   obs::Counter* m_overloads_ = nullptr;
-  obs::Counter* m_connections_accepted_ = nullptr;
-  obs::Counter* m_connections_rejected_ = nullptr;
-  obs::Counter* m_read_timeouts_ = nullptr;
-  obs::Gauge* m_connections_active_ = nullptr;
   std::unique_ptr<MicroBatcher> batcher_;
-  common::Socket listener_;
 
-  std::atomic<bool> stopping_{false};
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> parse_errors_{0};
   std::atomic<int64_t> range_errors_{0};
   std::atomic<int64_t> overloads_{0};
-  std::atomic<int64_t> read_timeouts_{0};
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> connections_rejected_{0};
 
-  mutable std::mutex mu_;  ///< Guards connections_ and shutdown_done_.
-  std::vector<std::shared_ptr<Connection>> connections_;
-  bool shutdown_done_ = false;
-
-  std::thread accept_thread_;
+  std::once_flag shutdown_once_;
+  /// Declared last: it registers into metrics_, and its connection threads
+  /// call into everything above.
+  LineServer lines_;
 };
 
 }  // namespace rrre::serve

@@ -522,6 +522,26 @@ TEST_F(FailpointTest, LineReaderReassemblesUnderShortReadsAndEintr) {
   EXPECT_FALSE(eof.value().has_value());
 }
 
+TEST_F(FailpointTest, LineReaderRefusesALineLongerThanTheBound) {
+  // One peer must not make a reader buffer without limit: a line of exactly
+  // kMaxLineBytes is still returned, and one byte more with no newline fails.
+  constexpr size_t kMax = common::LineReader::kMaxLineBytes;
+  LocalPair pair = MakeLocalPair();
+  std::thread sender([&] {
+    RRRE_CHECK_OK(pair.server.SendAll(std::string(kMax, 'a') + "\n"));
+    RRRE_CHECK_OK(pair.server.SendAll(std::string(kMax + 1, 'b')));
+  });
+  common::LineReader reader(&pair.client);
+  auto line = reader.ReadLine();
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  ASSERT_TRUE(line.value().has_value());
+  EXPECT_EQ(*line.value(), std::string(kMax, 'a'));
+  auto overlong = reader.ReadLine();
+  EXPECT_FALSE(overlong.ok());
+  EXPECT_EQ(overlong.status().code(), common::StatusCode::kInvalidArgument);
+  sender.join();
+}
+
 TEST_F(FailpointTest, InjectedRecvEagainSurfacesDeadlineExceeded) {
   LocalPair pair = MakeLocalPair();
   failpoint::Config once;

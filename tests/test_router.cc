@@ -2,9 +2,9 @@
 // consistent-ring determinism, routed-vs-direct byte identity (pairs,
 // catalogs, protocol errors), replica failover with a shard killed
 // mid-stream, injected transport faults on every router.backend.* seam,
-// rolling-reload barrier invariants, fingerprint quarantine, and METRICS
-// aggregation. This suite runs under ASan and in the failpoint leg of
-// tools/check.sh.
+// rolling-reload barrier invariants, fingerprint quarantine, METRICS
+// aggregation, and the client connection limit, read deadline and line
+// bound. This suite runs under ASan and TSan in tools/check.sh.
 
 #include <gtest/gtest.h>
 
@@ -664,6 +664,69 @@ TEST_F(RouterTest, StatsLineDrivesLoadgenBoundsDiscovery) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().scored, 40);
   EXPECT_EQ(report.value().errors, 0);
+}
+
+TEST_F(RouterTest, ConnectionLimitAnswersBusy) {
+  auto fleet = StartFleet(1);
+  RouterOptions options = RoutedOptions(fleet);
+  options.max_connections = 1;
+  auto router = StartRouter(options);
+  Client first(router->port());
+  first.Send("PING\n");
+  EXPECT_EQ(first.MustReadLine(), "#pong");  // Guarantees `first` is accepted.
+  Client second(router->port());
+  const std::string line = second.MustReadLine();
+  EXPECT_EQ(line.find("!ERR\tbusy\t"), 0u) << line;
+  EXPECT_FALSE(second.ReadLine().has_value());
+  EXPECT_EQ(router->stats().connections_rejected, 1);
+  first.Send("METRICS\n");
+  const std::string header = first.MustReadLine();
+  ASSERT_EQ(header.find("#metrics\tlines="), 0u) << header;
+  const long long lines =
+      std::atoll(header.c_str() + sizeof("#metrics\tlines=") - 1);
+  std::string text;
+  for (long long i = 0; i < lines; ++i) text += first.MustReadLine() + "\n";
+  EXPECT_NE(text.find("\nrrre_router_connections_rejected_total 1\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST_F(RouterTest, SilentClientIsDroppedAtTheReadDeadline) {
+  auto fleet = StartFleet(1);
+  RouterOptions options = RoutedOptions(fleet);
+  options.read_timeout_ms = 200;
+  auto router = StartRouter(options);
+  Client client(router->port());
+  client.Send("PING\n");
+  EXPECT_EQ(client.MustReadLine(), "#pong");
+  // Then silence: the router closes the connection at the read deadline.
+  EXPECT_FALSE(client.ReadLine().has_value());
+  EXPECT_EQ(router->stats().read_timeouts, 1);
+}
+
+TEST_F(RouterTest, OverlongRequestLineIsAnsweredAndClosed) {
+  // The router's twin of the served test: past LineReader::kMaxLineBytes
+  // without a newline, a parse error and a closed connection.
+  auto fleet = StartFleet(1);
+  auto router = StartRouter(RoutedOptions(fleet));
+  auto socket = Socket::Connect("127.0.0.1", router->port());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.value().SetRecvTimeout(5000).ok());
+  ASSERT_TRUE(socket.value()
+                  .SendAll(std::string(common::LineReader::kMaxLineBytes + 1,
+                                       '7'))
+                  .ok());
+  common::LineReader reader(&socket.value());
+  auto reply = reader.ReadLine();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(reply.value().has_value());
+  EXPECT_EQ(reply.value()->find("!ERR\tparse\t"), 0u) << *reply.value();
+  auto eof = reader.ReadLine();
+  ASSERT_TRUE(eof.ok()) << eof.status().ToString();
+  EXPECT_FALSE(eof.value().has_value());
+  Client fresh(router->port());
+  fresh.Send("PING\n");
+  EXPECT_EQ(fresh.MustReadLine(), "#pong");
 }
 
 TEST_F(RouterTest, ShutdownAnswersInFlightRequestsBeforeClosing) {

@@ -1,8 +1,9 @@
 // End-to-end tests of the rrre_served online server over real TCP sockets:
 // bitwise identity with the offline rrre_serve pipeline, pipelined response
 // ordering, protocol errors, overload backpressure, hot checkpoint reload,
-// graceful drain, and the connection limit. This suite runs under
-// ThreadSanitizer in tools/check.sh.
+// graceful drain, the connection limit, and the connection layer's bounds
+// on line length and unsent replies. This suite runs under ThreadSanitizer
+// in tools/check.sh.
 
 #include <gtest/gtest.h>
 
@@ -448,6 +449,53 @@ TEST_F(ServedTest, ConnectionLimitAnswersBusy) {
   EXPECT_EQ(line.find("!ERR\tbusy\t"), 0u) << line;
   EXPECT_FALSE(second.ReadLine().has_value());
   EXPECT_EQ(server->stats().connections_rejected, 1);
+}
+
+TEST_F(ServedTest, OverlongRequestLineIsAnsweredAndClosed) {
+  // A client that streams bytes without a newline must not make the server
+  // buffer them without bound: past LineReader::kMaxLineBytes it gets a
+  // parse error and the connection closes.
+  auto server = StartServer(BaseOptions());
+  auto socket = Socket::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.value().SetRecvTimeout(5000).ok());
+  ASSERT_TRUE(socket.value()
+                  .SendAll(std::string(common::LineReader::kMaxLineBytes + 1,
+                                       '7'))
+                  .ok());
+  common::LineReader reader(&socket.value());
+  auto reply = reader.ReadLine();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(reply.value().has_value());
+  EXPECT_EQ(reply.value()->find("!ERR\tparse\t"), 0u) << *reply.value();
+  auto eof = reader.ReadLine();
+  ASSERT_TRUE(eof.ok()) << eof.status().ToString();
+  EXPECT_FALSE(eof.value().has_value());
+  Client fresh(server->port());
+  fresh.Send("PING\n");
+  EXPECT_EQ(fresh.MustReadLine(), "#pong");
+}
+
+TEST_F(ServedTest, ClientThatStopsReadingStopsBeingRead) {
+  // A pipelining client that never reads must not make the server queue its
+  // replies without limit. The paused batcher holds the first reply back,
+  // so every later one stays unsent behind it until the reader stops.
+  ServerOptions options = BaseOptions();
+  options.batcher.start_paused = true;
+  auto server = StartServer(options);
+  Client client(server->port());
+  constexpr int kRequests = 5000;
+  std::string wire;
+  for (int i = 0; i < kRequests; ++i) wire += "0\t1\n";
+  client.Send(wire);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_LT(server->stats().requests, kRequests);
+  server->batcher().Resume();
+  const std::string expected = ExpectedScoreLine(0, 1);
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string line = client.MustReadLine();
+    ASSERT_TRUE(line == expected || IsOverloadLine(line)) << i << ": " << line;
+  }
 }
 
 /// Sends METRICS and returns the full exposition payload (header excluded).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification (default build + full test suite),
 # then the full suite under ThreadSanitizer to vet the parallel layer and the
-# online-serving/metrics path, then the checkpoint/serve/resume and
+# online-serving/routing/metrics path, then the checkpoint/serve/resume and
 # tower-store tests under AddressSanitizer — the corruption corpora feed
 # deliberately malformed bytes to the checkpoint loader and the store mapper,
 # and ASan proves the rejection paths are free of out-of-bounds reads and
@@ -86,9 +86,11 @@ else
   require_build_dir build-tsan
   cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool test_parallel_determinism test_tensor \
-             test_kernels test_batcher test_served >/dev/null
+             test_kernels test_batcher test_served test_router >/dev/null
+  # RouterTest runs here too: router client connections share the served
+  # binary's connection layer (reader/writer threads, ordered reply slots).
   (cd build-tsan && ctest --output-on-failure --no-tests=error \
-    -R "ThreadPool|ParallelDeterminism|MicroBatcher|ServedTest" )
+    -R "ThreadPool|ParallelDeterminism|MicroBatcher|ServedTest|RouterTest" )
   (cd build-tsan && ctest --output-on-failure --no-tests=error -L kernels)
   LEGS_RUN+=(tsan)
 fi
