@@ -52,11 +52,11 @@ void NeuralRatingBaseline::Fit(const data::ReviewDataset& train) {
     word_embedding()->SetWeights(pretrainer.Train(id_docs, sg_rng));
   }
 
+  // The Table III setup: the pretrained word table stays frozen.
   std::vector<Tensor> params;
   const Tensor& table = word_embedding()->table();
   for (const Tensor& p : module()->Parameters()) {
-    if (config_.freeze_word_vectors && p.impl() == table.impl()) continue;
-    params.push_back(p);
+    if (p.impl() != table.impl()) params.push_back(p);
   }
   optimizer_ = std::make_unique<nn::Adam>(params, config_.lr);
 
@@ -83,7 +83,9 @@ void NeuralRatingBaseline::Fit(const data::ReviewDataset& train) {
           const int64_t idx = order[static_cast<size_t>(p)];
           const data::Review& r = train_->review(idx);
           pairs.emplace_back(r.user, r.item);
-          exclude.push_back(config_.exclude_target ? idx : -1);
+          // The Table III setup: the target review is dropped from its own
+          // input during training.
+          exclude.push_back(idx);
           targets.push_back(r.rating);
         }
         Tensor pred = ForwardRating(pairs, exclude, /*training=*/true, rng);

@@ -36,9 +36,6 @@ class NeuralRatingBaseline : public RatingPredictor {
     int64_t vocab_min_count = 2;
     bool pretrain_word_vectors = true;
     int64_t pretrain_epochs = 2;
-    bool freeze_word_vectors = true;
-    /// Drop the target review from its own input during training.
-    bool exclude_target = true;
     /// Examples per data-parallel shard; 0 = the whole batch is one shard.
     /// Must not be negative. Same contract as RrreConfig::shard_size.
     int64_t shard_size = 0;
@@ -67,7 +64,7 @@ class NeuralRatingBaseline : public RatingPredictor {
                           int64_t vocab_size, common::Rng& rng) = 0;
   /// Root module of the network (for parameter collection).
   virtual nn::Module* module() = 0;
-  /// The shared word table (skip-gram initialized; possibly frozen).
+  /// The shared word table (skip-gram initialized, then frozen).
   virtual nn::Embedding* word_embedding() = 0;
   /// Predicted ratings [B, 1] for the pairs. `exclude[i]` is a train review
   /// index to drop from pair i's inputs (-1 = none).

@@ -60,17 +60,10 @@ struct RrreConfig {
   // -- Text pipeline -----------------------------------------------------------
   int64_t vocab_min_count = 2;
   bool pretrain_word_vectors = true;  ///< Skip-gram init (Sec. IV-A).
-  bool freeze_word_vectors = false;   ///< Fine-tune the pretrained vectors.
   int64_t pretrain_epochs = 2;
 
   // -- History sampling (Sec. III-D) -------------------------------------------
   data::SamplingStrategy sampling = data::SamplingStrategy::kLatest;
-  /// When true, the target review is dropped from its own histories during
-  /// training. The paper's Eq. (1) builds W^u/W^i from all reviews of u and
-  /// i (including w_ui), so the faithful default keeps it — the model learns
-  /// to read the scored review's own content out of the history, which is
-  /// what transductive reliability scoring exploits.
-  bool exclude_target_from_history = false;
 };
 
 }  // namespace rrre::core

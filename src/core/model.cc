@@ -145,14 +145,4 @@ RrreModel::Output RrreModel::ForwardFromProfiles(
   return out;
 }
 
-std::vector<Tensor> RrreModel::ParametersWithoutWordTable() const {
-  const Tensor& table = word_embedding_.table();
-  std::vector<Tensor> out;
-  for (const Tensor& p : Parameters()) {
-    if (p.impl() == table.impl()) continue;
-    out.push_back(p);
-  }
-  return out;
-}
-
 }  // namespace rrre::core

@@ -80,10 +80,6 @@ class RrreModel : public nn::Module {
   nn::Embedding& word_embedding() { return word_embedding_; }
   const nn::Embedding& word_embedding() const { return word_embedding_; }
 
-  /// Trainable parameters excluding the word table (used when the pretrained
-  /// vectors are frozen).
-  std::vector<tensor::Tensor> ParametersWithoutWordTable() const;
-
  private:
   /// One tower (UserNet or ItemNet): encode slots, attend, pool, project.
   struct TowerOutput {

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <tuple>
 
 #include "common/io.h"
 #include "common/logging.h"
@@ -74,10 +76,8 @@ void RrreTrainer::Fit(const data::ReviewDataset& train,
   features_ = std::make_unique<FeatureBuilder>(config_, train_.get(),
                                                vocab_.get());
 
-  auto params = config_.freeze_word_vectors
-                    ? model_->ParametersWithoutWordTable()
-                    : model_->Parameters();
-  optimizer_ = std::make_unique<nn::Adam>(params, config_.lr);
+  // RRRE fine-tunes the pretrained word table with every other parameter.
+  optimizer_ = std::make_unique<nn::Adam>(model_->Parameters(), config_.lr);
 
   // 3. Training loop.
   epochs_completed_ = 0;
@@ -131,7 +131,11 @@ void RrreTrainer::TrainEpochs(int64_t first_epoch,
           const int64_t idx = order[static_cast<size_t>(p)];
           const data::Review& r = train_->review(idx);
           pairs.emplace_back(r.user, r.item);
-          exclude.push_back(config_.exclude_target_from_history ? idx : -1);
+          // Eq. (1) builds W^u/W^i from all reviews of u and i, w_ui
+          // included: the model learns to read the scored review's own
+          // content out of the history, which transductive reliability
+          // scoring exploits.
+          exclude.push_back(-1);
           targets.push_back(static_cast<float>(r.rating - rating_offset_));
           labels.push_back(r.is_benign() ? 1 : 0);
           weights.push_back(
@@ -361,6 +365,11 @@ common::Status RrreTrainer::Save(const std::string& prefix) const {
   meta += common::StrFormat("epochs_completed=%lld\n",
                             static_cast<long long>(epochs_completed_));
   meta += common::StrFormat("has_optimizer=%d\n", optimizer_ != nullptr);
+  // The history shape the towers were trained on; Load refuses another.
+  meta += common::StrFormat("s_u=%lld\ns_i=%lld\nmax_tokens=%lld\n",
+                            static_cast<long long>(config_.s_u),
+                            static_cast<long long>(config_.s_i),
+                            static_cast<long long>(config_.max_tokens));
   meta += "rng=";
   const auto rng_state = rng_.SerializeState();
   for (size_t i = 0; i < rng_state.size(); ++i) {
@@ -382,6 +391,11 @@ struct TrainerMeta {
   bool has_optimizer = false;
   bool has_rng = false;
   std::array<uint64_t, common::Rng::kStateWords> rng_state{};
+  /// History shape of the training run; absent in a .meta written before
+  /// these keys existed.
+  std::optional<int64_t> s_u;
+  std::optional<int64_t> s_i;
+  std::optional<int64_t> max_tokens;
 };
 
 common::Result<TrainerMeta> ParseTrainerMeta(const std::string& content,
@@ -441,6 +455,14 @@ common::Result<TrainerMeta> ParseTrainerMeta(const std::string& content,
         meta.rng_state[i] = w;
       }
       meta.has_rng = true;
+    } else if (key == "s_u" || key == "s_i" || key == "max_tokens") {
+      std::optional<int64_t>& field =
+          key == "s_u" ? meta.s_u : key == "s_i" ? meta.s_i : meta.max_tokens;
+      int64_t v = 0;
+      if (!common::ParseWholeNumber(value, &v)) {
+        return common::Status::InvalidArgument("bad " + key + " in " + path);
+      }
+      field = v;
     }
     // Unknown keys are skipped so future formats stay forward-readable.
   }
@@ -458,6 +480,21 @@ common::Status RrreTrainer::Load(const std::string& prefix) {
   if (!meta_content.ok()) return meta_content.status();
   auto meta = ParseTrainerMeta(meta_content.value(), prefix + ".meta");
   if (!meta.ok()) return meta.status();
+  // Scores depend on the history shape, so a checkpoint serves only under
+  // the one it was trained with.
+  for (const auto& [name, trained, configured] :
+       {std::tuple{"s_u", meta.value().s_u, config_.s_u},
+        std::tuple{"s_i", meta.value().s_i, config_.s_i},
+        std::tuple{"max_tokens", meta.value().max_tokens,
+                   config_.max_tokens}}) {
+    if (trained.has_value() && *trained != configured) {
+      return common::Status::FailedPrecondition(common::StrFormat(
+          "%s.meta was trained with %s=%lld but the loading config has "
+          "%s=%lld",
+          prefix.c_str(), name, static_cast<long long>(*trained), name,
+          static_cast<long long>(configured)));
+    }
+  }
 
   vocab_ = std::make_unique<text::Vocabulary>(std::move(vocab).ValueOrDie());
   train_ =
@@ -478,15 +515,17 @@ common::Status RrreTrainer::Load(const std::string& prefix) {
   if (meta.value().has_optimizer) {
     auto state = tensor::LoadTensors(prefix + ".optimizer");
     if (!state.ok()) return state.status();
-    auto params = config_.freeze_word_vectors
-                      ? model_->ParametersWithoutWordTable()
-                      : model_->Parameters();
-    auto optimizer = std::make_unique<nn::Adam>(params, config_.lr);
+    auto optimizer =
+        std::make_unique<nn::Adam>(model_->Parameters(), config_.lr);
     RRRE_RETURN_IF_ERROR(optimizer->LoadStateTensors(state.value()));
     optimizer_ = std::move(optimizer);
   }
   // Restored last: the forks above must not perturb the checkpointed stream.
   if (meta.value().has_rng) rng_.RestoreState(meta.value().rng_state);
+  // Same switch as TrainEpochs, so a process that loads without training
+  // runs the fused forward too; the fused and eager graphs are bitwise
+  // identical.
+  tensor::SetFusionEnabled(config_.use_tape);
   ++params_version_;
   return common::Status::Ok();
 }

@@ -127,15 +127,18 @@ class RrreTrainer {
   /// vocabulary (<prefix>.vocab), the training corpus used for histories
   /// (<prefix>.train.tsv), optimizer moments when available
   /// (<prefix>.optimizer) and scalar state — exact rating offset, epoch
-  /// counter and RNG state — in <prefix>.meta. The RrreConfig is not
-  /// serialized — construct the loading trainer with the same one.
+  /// counter, RNG state and the history shape (s_u, s_i, max_tokens) — in
+  /// <prefix>.meta. The rest of the RrreConfig is not serialized —
+  /// construct the loading trainer with the same one.
   common::Status Save(const std::string& prefix) const;
 
   /// Restores a trainer saved by Save into this instance (which must have
   /// been constructed with a matching config). After Load the trainer can
   /// predict, Resume() remaining epochs (when optimizer state was saved), or
-  /// Fit again to retrain from scratch. Legacy checkpoints (scalar-only
-  /// .meta) still load but cannot Resume.
+  /// Fit again to retrain from scratch. A history shape in .meta that
+  /// differs from config() fails with FailedPrecondition. Legacy checkpoints
+  /// (scalar-only .meta) still load but cannot Resume. Like training, Load
+  /// selects the fused forward when config().use_tape is set.
   common::Status Load(const std::string& prefix);
 
   /// File suffixes a Save(prefix) writes, in write order. ".optimizer" is

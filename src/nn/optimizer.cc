@@ -18,60 +18,18 @@ bool HasLiveGrad(const Tensor& t) {
 
 }  // namespace
 
-Optimizer::Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {
+Adam::Adam(std::vector<Tensor> params, double lr)
+    : params_(std::move(params)), lr_(lr) {
   for (const Tensor& p : params_) {
     RRRE_CHECK(p.defined());
     RRRE_CHECK(p.requires_grad());
   }
 }
 
-void Optimizer::ZeroGrad() {
-  for (Tensor& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<Tensor> params, double lr, double momentum,
-         double weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {}
-
-void Sgd::Step() {
-  for (Tensor& p : params_) {
-    if (!HasLiveGrad(p)) continue;
-    float* data = p.data();
-    const std::vector<float>& grad = p.impl()->grad;
-    const size_t n = grad.size();
-    if (momentum_ > 0.0) {
-      auto& vel = velocity_[p.impl().get()];
-      if (vel.size() != n) vel.assign(n, 0.0f);
-      for (size_t i = 0; i < n; ++i) {
-        float g = grad[i] + static_cast<float>(weight_decay_) * data[i];
-        vel[i] = static_cast<float>(momentum_) * vel[i] + g;
-        data[i] -= static_cast<float>(lr_) * vel[i];
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        float g = grad[i] + static_cast<float>(weight_decay_) * data[i];
-        data[i] -= static_cast<float>(lr_) * g;
-      }
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
-           double eps, double weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {}
-
 void Adam::Step() {
   ++t_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (Tensor& p : params_) {
     if (!HasLiveGrad(p)) continue;
     float* data = p.data();
@@ -83,13 +41,13 @@ void Adam::Step() {
       slot.v.assign(n, 0.0f);
     }
     for (size_t i = 0; i < n; ++i) {
-      double g = grad[i] + weight_decay_ * data[i];
-      slot.m[i] = static_cast<float>(beta1_ * slot.m[i] + (1.0 - beta1_) * g);
+      const double g = grad[i];
+      slot.m[i] = static_cast<float>(kBeta1 * slot.m[i] + (1.0 - kBeta1) * g);
       slot.v[i] =
-          static_cast<float>(beta2_ * slot.v[i] + (1.0 - beta2_) * g * g);
+          static_cast<float>(kBeta2 * slot.v[i] + (1.0 - kBeta2) * g * g);
       const double mhat = slot.m[i] / bias1;
       const double vhat = slot.v[i] / bias2;
-      data[i] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
+      data[i] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + kEps));
     }
   }
 }

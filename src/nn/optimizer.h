@@ -11,61 +11,22 @@
 
 namespace rrre::nn {
 
-/// Base class for gradient-descent optimizers over a fixed parameter list.
-/// A parameter whose gradient buffer was never touched in the current step
-/// (e.g. an embedding row outside the batch's graph) is treated as having
-/// zero gradient and skipped.
-class Optimizer {
+/// Adam (Kingma & Ba 2015) over a fixed parameter list, with beta1 = 0.9,
+/// beta2 = 0.999, eps = 1e-8 and no weight decay. A parameter whose gradient
+/// buffer was never touched in the current step (e.g. an embedding row
+/// outside the batch's graph) is treated as having zero gradient and
+/// skipped.
+class Adam {
  public:
-  explicit Optimizer(std::vector<tensor::Tensor> params);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<tensor::Tensor> params, double lr);
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update from the gradients currently stored in the params.
-  virtual void Step() = 0;
-
-  /// Zeroes all parameter gradients.
-  void ZeroGrad();
+  void Step();
 
   const std::vector<tensor::Tensor>& params() const { return params_; }
-
- protected:
-  std::vector<tensor::Tensor> params_;
-};
-
-/// SGD with optional momentum and decoupled weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<tensor::Tensor> params, double lr, double momentum = 0.0,
-      double weight_decay = 0.0);
-
-  void Step() override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
-
- private:
-  double lr_;
-  double momentum_;
-  double weight_decay_;
-  std::unordered_map<const void*, std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba 2015) with optional decoupled weight decay.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<tensor::Tensor> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.0);
-
-  void Step() override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
-
-  /// Number of optimizer steps taken so far (the bias-correction time t).
-  int64_t step_count() const { return t_; }
 
   /// Exports the complete optimizer state as named tensors suitable for
   /// SaveTensors: "adam.t" (step count, split into two exact f32 words) plus
@@ -87,11 +48,12 @@ class Adam : public Optimizer {
     std::vector<float> m;
     std::vector<float> v;
   };
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
+
+  std::vector<tensor::Tensor> params_;
   double lr_;
-  double beta1_;
-  double beta2_;
-  double eps_;
-  double weight_decay_;
   int64_t t_ = 0;
   std::unordered_map<const void*, Slot> slots_;
 };

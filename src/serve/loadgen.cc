@@ -1,13 +1,11 @@
 #include "serve/loadgen.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/socket.h"
-#include "common/strings.h"
 #include "common/timer.h"
 #include "serve/protocol.h"
 
@@ -28,17 +26,13 @@ Status DiscoverBounds(const LoadGenOptions& options, int64_t* num_users,
   common::LineReader reader(&sock.value());
   auto line = reader.ReadLine();
   if (!line.ok()) return line.status();
-  if (!line.value().has_value() ||
-      !common::StartsWith(*line.value(), "#stats\t")) {
-    return Status::Internal("unexpected STATS response");
+  if (!line.value().has_value()) {
+    return Status::Internal("connection closed before the STATS response");
   }
-  for (const auto& field : common::Split(*line.value(), '\t')) {
-    if (common::StartsWith(field, "users=")) {
-      *num_users = std::atoll(field.c_str() + 6);
-    } else if (common::StartsWith(field, "items=")) {
-      *num_items = std::atoll(field.c_str() + 6);
-    }
-  }
+  auto stats = ParseStatsLine(*line.value());
+  if (!stats.ok()) return stats.status();
+  *num_users = stats.value().users;
+  *num_items = stats.value().items;
   if (*num_users <= 0 || *num_items <= 0) {
     return Status::Internal("STATS did not report corpus bounds: " +
                             *line.value());

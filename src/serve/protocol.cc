@@ -110,6 +110,40 @@ std::string FormatReloaded(int64_t version) {
                            static_cast<long long>(version));
 }
 
+common::Result<StatsLine> ParseStatsLine(std::string_view line) {
+  constexpr std::string_view kPrefix = "#stats\t";
+  if (!common::StartsWith(line, kPrefix)) {
+    return common::Status::InvalidArgument("not a STATS response: " +
+                                           std::string(line));
+  }
+  StatsLine out;
+  for (const std::string& field :
+       common::Split(line.substr(kPrefix.size()), '\t')) {
+    const std::string_view kv(field);
+    const size_t eq = kv.find('=');
+    const std::string_view key = kv.substr(0, eq);
+    const std::string_view value =
+        eq == std::string_view::npos ? std::string_view() : kv.substr(eq + 1);
+    bool ok = true;
+    if (key == "users") {
+      ok = common::ParseWholeNumber(value, &out.users);
+    } else if (key == "items") {
+      ok = common::ParseWholeNumber(value, &out.items);
+    } else if (key == "generation") {
+      ok = common::ParseWholeNumber(value, &out.generation);
+    } else if (key == "fingerprint") {
+      ok = common::ParseWholeNumber(value, &out.fingerprint);
+    } else if (key == "quarantined") {
+      ok = common::ParseWholeNumber(value, &out.quarantined);
+    }
+    if (!ok) {
+      return common::Status::InvalidArgument(
+          "STATS field \"" + field + "\" is not a whole number");
+    }
+  }
+  return out;
+}
+
 bool IsErrorLine(std::string_view line) {
   return common::StartsWith(line, "!ERR\t");
 }

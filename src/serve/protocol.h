@@ -5,6 +5,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/status.h"
+
 namespace rrre::serve {
 
 /// The rrre_served line protocol (one request per '\n'-terminated line,
@@ -73,6 +75,22 @@ std::string FormatError(std::string_view code, std::string_view message);
 std::string FormatPong();
 std::string FormatBye();
 std::string FormatReloaded(int64_t version);
+
+/// The STATS fields readers use. A server line carries users=, items=,
+/// generation= and fingerprint=; a router line carries users=, items=,
+/// fingerprint= and quarantined=. A field the line lacks stays 0.
+struct StatsLine {
+  int64_t users = 0;
+  int64_t items = 0;
+  int64_t generation = 0;
+  uint64_t fingerprint = 0;
+  int64_t quarantined = 0;
+};
+
+/// Parses a STATS response (sans terminator). Refuses a line without the
+/// "#stats\t" prefix and a known field whose value is not a whole decimal
+/// number; ignores unknown fields.
+common::Result<StatsLine> ParseStatsLine(std::string_view line);
 
 /// True when `line` (sans terminator) is an error response.
 bool IsErrorLine(std::string_view line);

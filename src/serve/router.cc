@@ -31,36 +31,6 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// The STATS fields the router consumes; everything else is ignored.
-struct BackendStatsFields {
-  int64_t users = 0;
-  int64_t items = 0;
-  int64_t generation = 0;
-  uint64_t fingerprint = 0;
-};
-
-Result<BackendStatsFields> ParseBackendStats(const std::string& line) {
-  if (!common::StartsWith(line, "#stats\t")) {
-    return Status::Internal("unexpected STATS response: " + line);
-  }
-  BackendStatsFields out;
-  for (const auto& field : common::Split(line, '\t')) {
-    if (common::StartsWith(field, "users=")) {
-      out.users = std::atoll(field.c_str() + 6);
-    } else if (common::StartsWith(field, "items=")) {
-      out.items = std::atoll(field.c_str() + 6);
-    } else if (common::StartsWith(field, "generation=")) {
-      out.generation = std::atoll(field.c_str() + 11);
-    } else if (common::StartsWith(field, "fingerprint=")) {
-      out.fingerprint = std::strtoull(field.c_str() + 12, nullptr, 10);
-    }
-  }
-  if (out.users <= 0 || out.items <= 0) {
-    return Status::Internal("STATS did not report corpus bounds: " + line);
-  }
-  return out;
-}
-
 /// Rewrites one backend exposition line with a `shard` label so per-shard
 /// series stay distinguishable after aggregation. Comment lines (`# TYPE`)
 /// are dropped — the merged exposition would otherwise repeat them per
@@ -187,23 +157,28 @@ class BackendLink {
   std::unique_ptr<Open> open_;
 };
 
-/// Reads one STATS reply; a reply that does not parse closes the link.
-Result<BackendStatsFields> ReadStats(BackendLink& link) {
+/// Reads one STATS reply; a reply that does not parse or reports no corpus
+/// bounds closes the link.
+Result<StatsLine> ReadStats(BackendLink& link) {
   auto line = link.ReadLine();
   if (!line.ok()) return line.status();
-  auto stats = ParseBackendStats(line.value());
+  auto stats = ParseStatsLine(line.value());
+  if (stats.ok() && (stats.value().users <= 0 || stats.value().items <= 0)) {
+    stats = Status::Internal("STATS did not report corpus bounds: " +
+                             line.value());
+  }
   if (!stats.ok()) link.Close();
   return stats;
 }
 
-Result<BackendStatsFields> QueryStats(BackendLink& link) {
+Result<StatsLine> QueryStats(BackendLink& link) {
   RRRE_RETURN_IF_ERROR(link.Send("STATS\n"));
   return ReadStats(link);
 }
 
 /// The health pass's one round trip: PING must pong (liveness) and STATS
 /// must carry a fingerprint (version).
-Result<BackendStatsFields> CheckHealth(BackendLink& link) {
+Result<StatsLine> CheckHealth(BackendLink& link) {
   RRRE_RETURN_IF_ERROR(link.Send("PING\nSTATS\n"));
   auto pong = link.ReadLine();
   if (!pong.ok()) return pong.status();
@@ -703,7 +678,7 @@ Result<std::unique_ptr<Router>> Router::Start(const RouterOptions& options) {
   // Probe the fleet: every backend must answer STATS, and all must agree on
   // corpus bounds and params fingerprint — proxying a fleet that already
   // serves two parameter versions would bake the split-brain in.
-  std::vector<BackendStatsFields> probed;
+  std::vector<StatsLine> probed;
   for (size_t k = 0; k < options.backends.size(); ++k) {
     const auto& addr = options.backends[k];
     BackendLink link(addr, options.backend_timeout_ms, /*failpoints=*/false);

@@ -1,7 +1,6 @@
 #include "stream/driver.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -9,6 +8,7 @@
 #include "common/socket.h"
 #include "common/strings.h"
 #include "core/tower_store.h"
+#include "serve/protocol.h"
 
 namespace rrre::stream {
 
@@ -198,17 +198,15 @@ Status StreamDriver::ReloadEndpoint(const StreamEndpoint& endpoint,
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.reload_timeout_ms);
   for (;;) {
-    auto stats = RoundTrip(conn, reader, "STATS\n");
-    if (!stats.ok()) return stats.status();
-    uint64_t seen = 0;
-    int64_t quarantined = 0;
-    for (const std::string& token : common::Split(stats.value(), '\t')) {
-      if (common::StartsWith(token, "fingerprint=")) {
-        seen = std::strtoull(token.c_str() + 12, nullptr, 10);
-      } else if (common::StartsWith(token, "quarantined=")) {
-        quarantined = std::strtoll(token.c_str() + 12, nullptr, 10);
-      }
+    auto reply = RoundTrip(conn, reader, "STATS\n");
+    if (!reply.ok()) return reply.status();
+    auto stats = serve::ParseStatsLine(reply.value());
+    if (!stats.ok()) {
+      return Status::IoError("STATS from " + where + ": " +
+                             stats.status().message());
     }
+    const uint64_t seen = stats.value().fingerprint;
+    const int64_t quarantined = stats.value().quarantined;
     if (seen == fingerprint && quarantined == 0) return Status::Ok();
     if (std::chrono::steady_clock::now() >= deadline) {
       return Status::DeadlineExceeded(common::StrFormat(

@@ -119,15 +119,6 @@ inline void EwMul(int64_t n, const float* RRRE_RESTRICT a,
                   const float* RRRE_RESTRICT b, float* RRRE_RESTRICT o) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] * b[i];
 }
-inline void EwDiv(int64_t n, const float* RRRE_RESTRICT a,
-                  const float* RRRE_RESTRICT b, float* RRRE_RESTRICT o) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] / b[i];
-}
-/// o[j] = a[j] + s (scalar broadcast).
-inline void EwAddScalar(int64_t n, const float* RRRE_RESTRICT a, float s,
-                        float* RRRE_RESTRICT o) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] + s;
-}
 inline void EwMulScalar(int64_t n, const float* RRRE_RESTRICT a, float s,
                         float* RRRE_RESTRICT o) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] * s;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/threadpool.h"
 #include "obs/trace.h"
@@ -136,140 +135,65 @@ inline float ActDeriv(Activation act, float y) {
   return 1.0f;
 }
 
+/// Shared implementation for the binary elementwise ops over operands of one
+/// shape. `Kernel` is the kernels::Ew* loop computing a chunk of the output;
+/// `grad_a(ga[i], go[i], b[i])` and `grad_b(gb[i], go[i], a[i])` accumulate
+/// one element's gradient into an operand, reading the other operand's value.
+template <auto Kernel, typename GradA, typename GradB>
+Tensor BinaryElementwise(const char* op, const Tensor& a, const Tensor& b,
+                         GradA grad_a, GradB grad_b) {
+  CheckSameShape(a, b);
+  auto out = MakeNode(op, a.shape(), {a, b});
+  const int64_t n = static_cast<int64_t>(out->data.size());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out->data.data();
+  ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
+    Kernel(hi - lo, pa + lo, pb + lo, po + lo);
+  });
+  if (out->requires_grad && !out->tape_wired) {
+    BatchTape::NoteClosureAlloc();
+    TensorImpl* o = out.get();
+    TensorImpl* ia = a.impl().get();
+    TensorImpl* ib = b.impl().get();
+    out->backward_fn = [o, ia, ib, n, grad_a, grad_b]() {
+      float* ga = GradBuf(ia);
+      float* gb = GradBuf(ib);
+      const float* go = o->grad.data();
+      const float* da = ia->data.data();
+      const float* db = ib->data.data();
+      ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
+        if (ga != nullptr) {
+          for (int64_t i = lo; i < hi; ++i) grad_a(ga[i], go[i], db[i]);
+        }
+        if (gb != nullptr) {
+          for (int64_t i = lo; i < hi; ++i) grad_b(gb[i], go[i], da[i]);
+        }
+      });
+    };
+  }
+  return Tensor::WrapImpl(out);
+}
+
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b);
-  auto out = MakeNode("add", a.shape(), {a, b});
-  const int64_t n = static_cast<int64_t>(out->data.size());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out->data.data();
-  ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-    kernels::EwAdd(hi - lo, pa + lo, pb + lo, po + lo);
-  });
-  if (out->requires_grad && !out->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* o = out.get();
-    TensorImpl* ia = a.impl().get();
-    TensorImpl* ib = b.impl().get();
-    out->backward_fn = [o, ia, ib, n]() {
-      float* ga = GradBuf(ia);
-      float* gb = GradBuf(ib);
-      const float* go = o->grad.data();
-      ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-        if (ga != nullptr) {
-          for (int64_t i = lo; i < hi; ++i) ga[i] += go[i];
-        }
-        if (gb != nullptr) {
-          for (int64_t i = lo; i < hi; ++i) gb[i] += go[i];
-        }
-      });
-    };
-  }
-  return Tensor::WrapImpl(out);
+  const auto pass = [](float& g, float go, float) { g += go; };
+  return BinaryElementwise<kernels::EwAdd>("add", a, b, pass, pass);
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b);
-  auto out = MakeNode("sub", a.shape(), {a, b});
-  const int64_t n = static_cast<int64_t>(out->data.size());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out->data.data();
-  ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-    kernels::EwSub(hi - lo, pa + lo, pb + lo, po + lo);
-  });
-  if (out->requires_grad && !out->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* o = out.get();
-    TensorImpl* ia = a.impl().get();
-    TensorImpl* ib = b.impl().get();
-    out->backward_fn = [o, ia, ib, n]() {
-      float* ga = GradBuf(ia);
-      float* gb = GradBuf(ib);
-      const float* go = o->grad.data();
-      ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-        if (ga != nullptr) {
-          for (int64_t i = lo; i < hi; ++i) ga[i] += go[i];
-        }
-        if (gb != nullptr) {
-          for (int64_t i = lo; i < hi; ++i) gb[i] -= go[i];
-        }
-      });
-    };
-  }
-  return Tensor::WrapImpl(out);
+  return BinaryElementwise<kernels::EwSub>(
+      "sub", a, b, [](float& g, float go, float) { g += go; },
+      [](float& g, float go, float) { g -= go; });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b);
-  auto out = MakeNode("mul", a.shape(), {a, b});
-  const int64_t n = static_cast<int64_t>(out->data.size());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out->data.data();
-  ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-    kernels::EwMul(hi - lo, pa + lo, pb + lo, po + lo);
-  });
-  if (out->requires_grad && !out->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* o = out.get();
-    TensorImpl* ia = a.impl().get();
-    TensorImpl* ib = b.impl().get();
-    out->backward_fn = [o, ia, ib, n]() {
-      float* ga = GradBuf(ia);
-      float* gb = GradBuf(ib);
-      const float* go = o->grad.data();
-      const float* da = ia->data.data();
-      const float* db = ib->data.data();
-      ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-        if (ga != nullptr) {
-          for (int64_t i = lo; i < hi; ++i) ga[i] += go[i] * db[i];
-        }
-        if (gb != nullptr) {
-          for (int64_t i = lo; i < hi; ++i) gb[i] += go[i] * da[i];
-        }
-      });
-    };
-  }
-  return Tensor::WrapImpl(out);
-}
-
-Tensor Div(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b);
-  auto out = MakeNode("div", a.shape(), {a, b});
-  const int64_t n = static_cast<int64_t>(out->data.size());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out->data.data();
-  ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-    kernels::EwDiv(hi - lo, pa + lo, pb + lo, po + lo);
-  });
-  if (out->requires_grad && !out->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* o = out.get();
-    TensorImpl* ia = a.impl().get();
-    TensorImpl* ib = b.impl().get();
-    out->backward_fn = [o, ia, ib, n]() {
-      float* ga = GradBuf(ia);
-      float* gb = GradBuf(ib);
-      const float* go = o->grad.data();
-      const float* da = ia->data.data();
-      const float* db = ib->data.data();
-      ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-        if (ga != nullptr) {
-          for (int64_t i = lo; i < hi; ++i) ga[i] += go[i] / db[i];
-        }
-        if (gb != nullptr) {
-          for (int64_t i = lo; i < hi; ++i) {
-            gb[i] -= go[i] * da[i] / (db[i] * db[i]);
-          }
-        }
-      });
-    };
-  }
-  return Tensor::WrapImpl(out);
+  const auto times_other = [](float& g, float go, float other) {
+    g += go * other;
+  };
+  return BinaryElementwise<kernels::EwMul>("mul", a, b, times_other,
+                                           times_other);
 }
 
 Tensor AddBias(const Tensor& a, const Tensor& bias) {
@@ -324,30 +248,6 @@ Tensor AddBias(const Tensor& a, const Tensor& bias) {
   return Tensor::WrapImpl(out);
 }
 
-Tensor AddScalar(const Tensor& a, float s) {
-  auto out = MakeNode("add_scalar", a.shape(), {a}, FloatBits(s));
-  const int64_t n = static_cast<int64_t>(out->data.size());
-  const float* pa = a.data();
-  float* po = out->data.data();
-  ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-    kernels::EwAddScalar(hi - lo, pa + lo, s, po + lo);
-  });
-  if (out->requires_grad && !out->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* o = out.get();
-    TensorImpl* ia = a.impl().get();
-    out->backward_fn = [o, ia, n]() {
-      if (float* ga = GradBuf(ia)) {
-        const float* go = o->grad.data();
-        ParallelFor(0, n, kElemGrain, [=](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) ga[i] += go[i];
-        });
-      }
-    };
-  }
-  return Tensor::WrapImpl(out);
-}
-
 Tensor MulScalar(const Tensor& a, float s) {
   // The backward closure captures s, so its bit pattern is replay-verified:
   // a same-shape trace with a different scale re-records instead of
@@ -374,8 +274,6 @@ Tensor MulScalar(const Tensor& a, float s) {
   }
   return Tensor::WrapImpl(out);
 }
-
-Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
 namespace {
 
@@ -429,24 +327,6 @@ Tensor Relu(const Tensor& a) {
   return UnaryFromOutput(
       "relu", a, [](float x) { return x > 0.0f ? x : 0.0f; },
       [](float, float x) { return x > 0.0f ? 1.0f : 0.0f; });
-}
-
-Tensor Exp(const Tensor& a) {
-  return UnaryFromOutput(
-      "exp", a, [](float x) { return std::exp(x); },
-      [](float y, float) { return y; });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryFromOutput(
-      "log", a, [](float x) { return std::log(x); },
-      [](float, float x) { return 1.0f / x; });
-}
-
-Tensor Sqrt(const Tensor& a) {
-  return UnaryFromOutput(
-      "sqrt", a, [](float x) { return std::sqrt(x); },
-      [](float y, float) { return 0.5f / y; });
 }
 
 Tensor Square(const Tensor& a) {
@@ -515,36 +395,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   return Tensor::WrapImpl(out);
 }
 
-Tensor Transpose(const Tensor& a) {
-  RRRE_CHECK_EQ(a.ndim(), 2);
-  const int64_t m = a.dim(0);
-  const int64_t n = a.dim(1);
-  auto out = MakeNode("transpose", {n, m}, {a});
-  const float* pa = a.data();
-  float* po = out->data.data();
-  ParallelFor(0, m, RowGrain(n), [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      for (int64_t j = 0; j < n; ++j) po[j * m + i] = pa[i * n + j];
-    }
-  });
-  if (out->requires_grad && !out->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* o = out.get();
-    TensorImpl* ia = a.impl().get();
-    out->backward_fn = [o, ia, m, n]() {
-      if (float* ga = GradBuf(ia)) {
-        const float* go = o->grad.data();
-        ParallelFor(0, m, RowGrain(n), [=](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            for (int64_t j = 0; j < n; ++j) ga[i * n + j] += go[j * m + i];
-          }
-        });
-      }
-    };
-  }
-  return Tensor::WrapImpl(out);
-}
-
 Tensor Softmax(const Tensor& a) {
   RRRE_CHECK_EQ(a.ndim(), 2);
   const int64_t rows = a.dim(0);
@@ -584,51 +434,6 @@ Tensor Softmax(const Tensor& a) {
           float* gx = ga + r * cols;
           for (int64_t j = 0; j < cols; ++j) {
             gx[j] += y[j] * (gy[j] - dot);
-          }
-        }
-      });
-    };
-  }
-  return Tensor::WrapImpl(out);
-}
-
-Tensor LogSoftmax(const Tensor& a) {
-  RRRE_CHECK_EQ(a.ndim(), 2);
-  const int64_t rows = a.dim(0);
-  const int64_t cols = a.dim(1);
-  auto out = MakeNode("log_softmax", a.shape(), {a});
-  const float* pa = a.data();
-  float* po = out->data.data();
-  ParallelFor(0, rows, RowGrain(cols), [=](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) {
-      const float* row = pa + r * cols;
-      float maxv = row[0];
-      for (int64_t j = 1; j < cols; ++j) maxv = std::max(maxv, row[j]);
-      float denom = 0.0f;
-      for (int64_t j = 0; j < cols; ++j) denom += std::exp(row[j] - maxv);
-      const float log_denom = std::log(denom) + maxv;
-      float* orow = po + r * cols;
-      for (int64_t j = 0; j < cols; ++j) orow[j] = row[j] - log_denom;
-    }
-  });
-  if (out->requires_grad && !out->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* o = out.get();
-    TensorImpl* ia = a.impl().get();
-    out->backward_fn = [o, ia, rows, cols]() {
-      float* ga = GradBuf(ia);
-      if (ga == nullptr) return;
-      const float* yo = o->data.data();
-      const float* go = o->grad.data();
-      ParallelFor(0, rows, RowGrain(cols), [=](int64_t lo, int64_t hi) {
-        for (int64_t r = lo; r < hi; ++r) {
-          const float* y = yo + r * cols;
-          const float* gy = go + r * cols;
-          float gsum = 0.0f;
-          for (int64_t j = 0; j < cols; ++j) gsum += gy[j];
-          float* gx = ga + r * cols;
-          for (int64_t j = 0; j < cols; ++j) {
-            gx[j] += gy[j] - std::exp(y[j]) * gsum;
           }
         }
       });
@@ -777,50 +582,6 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
           });
         }
         offset += cols;
-      }
-    };
-  }
-  return Tensor::WrapImpl(out);
-}
-
-Tensor ConcatRows(const std::vector<Tensor>& parts) {
-  RRRE_CHECK(!parts.empty());
-  const int64_t cols = parts[0].dim(1);
-  int64_t total_rows = 0;
-  for (const Tensor& p : parts) {
-    RRRE_CHECK_EQ(p.ndim(), 2);
-    RRRE_CHECK_EQ(p.dim(1), cols);
-    total_rows += p.dim(0);
-  }
-  auto out = MakeNode("concat_rows", {total_rows, cols}, parts);
-  int64_t row_offset = 0;
-  for (const Tensor& p : parts) {
-    const int64_t rows = p.dim(0);
-    std::copy(p.data(), p.data() + rows * cols,
-              out->data.data() + row_offset * cols);
-    row_offset += rows;
-  }
-  if (out->requires_grad && !out->tape_wired) {
-    BatchTape::NoteClosureAlloc();
-    TensorImpl* o = out.get();
-    std::vector<TensorImpl*> impls;
-    std::vector<int64_t> heights;
-    for (const Tensor& p : parts) {
-      impls.push_back(p.impl().get());
-      heights.push_back(p.dim(0));
-    }
-    out->backward_fn = [o, impls, heights, cols]() {
-      int64_t offset = 0;
-      for (size_t pi = 0; pi < impls.size(); ++pi) {
-        const int64_t rows = heights[pi];
-        if (float* gp = GradBuf(impls[pi])) {
-          const float* src = o->grad.data() + offset * cols;
-          const int64_t total = rows * cols;
-          ParallelFor(0, total, kElemGrain, [=](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) gp[i] += src[i];
-          });
-        }
-        offset += rows;
       }
     };
   }

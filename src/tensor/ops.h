@@ -17,27 +17,19 @@ namespace rrre::tensor {
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-/// Elementwise division; caller guarantees b has no zero entries.
-Tensor Div(const Tensor& a, const Tensor& b);
 
 /// a[..., n] + bias[n]: broadcasts a rank-1 bias across all leading dims.
 Tensor AddBias(const Tensor& a, const Tensor& bias);
 
 // -- Scalar ops ---------------------------------------------------------------
 
-Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
-Tensor Neg(const Tensor& a);
 
 // -- Elementwise unary --------------------------------------------------------
 
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
-Tensor Exp(const Tensor& a);
-/// Natural log; caller guarantees positive entries.
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Square(const Tensor& a);
 
 // -- Linear algebra -----------------------------------------------------------
@@ -49,15 +41,11 @@ Tensor Square(const Tensor& a);
 /// other transpose variants, so all four are exercised by training.
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
-/// 2-D transpose.
-Tensor Transpose(const Tensor& a);
 
 // -- Row-wise / reduction -----------------------------------------------------
 
 /// Softmax along the last dim of a 2-D tensor (per row), numerically stable.
 Tensor Softmax(const Tensor& a);
-/// Log-softmax along the last dim of a 2-D tensor.
-Tensor LogSoftmax(const Tensor& a);
 /// Sum of all entries -> shape {1}.
 Tensor Sum(const Tensor& a);
 /// Mean of all entries -> shape {1}.
@@ -72,8 +60,6 @@ Tensor RowSum(const Tensor& a);
 Tensor Reshape(const Tensor& a, const Shape& shape);
 /// Concatenates 2-D tensors along columns (all must share dim 0).
 Tensor ConcatCols(const std::vector<Tensor>& parts);
-/// Concatenates 2-D tensors along rows (all must share dim 1).
-Tensor ConcatRows(const std::vector<Tensor>& parts);
 /// Rows [start, start+len) of a 2-D tensor.
 Tensor SliceRows(const Tensor& a, int64_t start, int64_t len);
 /// Columns [start, start+len) of a 2-D tensor.

@@ -320,15 +320,6 @@ TEST_F(ModelTest, GradReachesBothHeadsAndTowers) {
   EXPECT_GE(with_grad, total - 2);
 }
 
-TEST_F(ModelTest, ParametersWithoutWordTableExcludesIt) {
-  auto all = model_->Parameters();
-  auto sans = model_->ParametersWithoutWordTable();
-  EXPECT_EQ(sans.size(), all.size() - 1);
-  for (const auto& p : sans) {
-    EXPECT_NE(p.impl().get(), model_->word_embedding().table().impl().get());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Trainer end-to-end
 // ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <string>
 
+#include "common/io.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/semi_supervised.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -190,6 +192,107 @@ TEST(TrainerPersistenceTest, SaveCapturesEpochCounter) {
        {".model", ".vocab", ".train.tsv", ".meta", ".optimizer"}) {
     std::remove((prefix + suffix).c_str());
   }
+}
+
+// Saves a TinyConfig checkpoint at `prefix`.
+void SaveTinyCheckpoint(const std::string& prefix) {
+  core::RrreTrainer trainer(TinyConfig());
+  trainer.Fit(TinyCorpus());
+  ASSERT_TRUE(trainer.Save(prefix).ok());
+}
+
+void RemoveCheckpoint(const std::string& prefix) {
+  for (const std::string& suffix :
+       core::RrreTrainer::CheckpointSuffixes(/*with_optimizer=*/true)) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+/// Rewrites <prefix>.meta line by line through `edit`; an empty result drops
+/// the line.
+template <typename Edit>
+void RewriteMeta(const std::string& prefix, Edit edit) {
+  auto meta = common::ReadFile(prefix + ".meta");
+  ASSERT_TRUE(meta.ok());
+  std::string out;
+  for (const std::string& line : common::Split(meta.value(), '\n')) {
+    const std::string edited = line.empty() ? line : edit(line);
+    if (!edited.empty()) out += edited + "\n";
+  }
+  ASSERT_TRUE(common::WriteFile(prefix + ".meta", out).ok());
+}
+
+TEST(TrainerPersistenceTest, LoadSelectsFusionFromUseTape) {
+  const std::string prefix = ::testing::TempDir() + "/rrre_fusion";
+  SaveTinyCheckpoint(prefix);  // TinyConfig trains with use_tape on.
+  const bool original = tensor::FusionEnabled();
+  tensor::SetFusionEnabled(false);
+  core::RrreTrainer restored(TinyConfig());
+  ASSERT_TRUE(restored.Load(prefix).ok());
+  EXPECT_TRUE(tensor::FusionEnabled());
+  tensor::SetFusionEnabled(original);
+  RemoveCheckpoint(prefix);
+}
+
+TEST(TrainerPersistenceTest, LoadRefusesAnotherHistoryShape) {
+  const std::string prefix = ::testing::TempDir() + "/rrre_shape";
+  SaveTinyCheckpoint(prefix);
+  const struct {
+    const char* field;
+    int64_t core::RrreConfig::*member;
+  } kFields[] = {{"s_u", &core::RrreConfig::s_u},
+                 {"s_i", &core::RrreConfig::s_i},
+                 {"max_tokens", &core::RrreConfig::max_tokens}};
+  for (const auto& f : kFields) {
+    core::RrreConfig other = TinyConfig();
+    other.*f.member += 1;
+    core::RrreTrainer restored(other);
+    const common::Status status = restored.Load(prefix);
+    EXPECT_EQ(status.code(), common::StatusCode::kFailedPrecondition)
+        << f.field << ": " << status.ToString();
+    EXPECT_NE(status.message().find(f.field), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(restored.fitted()) << f.field;
+  }
+  core::RrreTrainer same(TinyConfig());
+  EXPECT_TRUE(same.Load(prefix).ok());
+  RemoveCheckpoint(prefix);
+}
+
+TEST(TrainerPersistenceTest, MetaWithoutHistoryShapeLoadsUnchecked) {
+  // A .meta written before the history shape was recorded loads under any
+  // shape, as it always did.
+  const std::string prefix = ::testing::TempDir() + "/rrre_shape_legacy";
+  SaveTinyCheckpoint(prefix);
+  RewriteMeta(prefix, [](const std::string& line) {
+    const bool shape = common::StartsWith(line, "s_u=") ||
+                       common::StartsWith(line, "s_i=") ||
+                       common::StartsWith(line, "max_tokens=");
+    return shape ? std::string() : line;
+  });
+  core::RrreConfig other = TinyConfig();
+  other.s_u += 1;
+  other.s_i += 1;
+  other.max_tokens += 1;
+  core::RrreTrainer restored(other);
+  EXPECT_TRUE(restored.Load(prefix).ok());
+  RemoveCheckpoint(prefix);
+}
+
+TEST(TrainerPersistenceTest, MalformedHistoryShapeIsRefused) {
+  const std::string prefix = ::testing::TempDir() + "/rrre_shape_bad";
+  SaveTinyCheckpoint(prefix);
+  for (const std::string bad :
+       {"s_u=3x", "s_u=-3", "s_u= 3", "s_u=+3", "s_u="}) {
+    RewriteMeta(prefix, [&](const std::string& line) {
+      return common::StartsWith(line, "s_u=") ? bad : line;
+    });
+    core::RrreTrainer restored(TinyConfig());
+    const common::Status status = restored.Load(prefix);
+    EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument)
+        << bad << ": " << status.ToString();
+  }
+  RemoveCheckpoint(prefix);
 }
 
 // ---------------------------------------------------------------------------

@@ -194,11 +194,13 @@ TEST(BiLstmTest, EncodeShapeAndDirectionality) {
   EXPECT_EQ(out.shape(), (Shape{2, 8}));
 
   // Reversing the sequence must change the encoding (direction sensitivity).
-  std::vector<Tensor> steps;
+  // Step t is the 2 rows x 3 columns at floats [6t, 6t + 6).
+  const std::vector<float> fwd = seq.ToVector();
+  std::vector<float> rev;
   for (int64_t t = 4; t >= 0; --t) {
-    steps.push_back(tensor::SliceRows(seq, t * 2, 2));
+    rev.insert(rev.end(), fwd.begin() + t * 6, fwd.begin() + (t + 1) * 6);
   }
-  Tensor out_rev = enc.Encode(tensor::ConcatRows(steps), 5);
+  Tensor out_rev = enc.Encode(Tensor::FromVector({5 * 2, 3}, rev), 5);
   bool differs = false;
   for (int64_t i = 0; i < out.numel(); ++i) {
     if (std::abs(out.at(i) - out_rev.at(i)) > 1e-6f) differs = true;
@@ -436,35 +438,6 @@ TEST(LossTest, WeightedMseGradientZeroForZeroWeight) {
 // Optimizers
 // ---------------------------------------------------------------------------
 
-TEST(OptimizerTest, SgdConvergesOnQuadratic) {
-  Tensor x = Tensor::FromVector({2}, {5.0f, -3.0f}, true);
-  Sgd opt({x}, /*lr=*/0.1);
-  for (int i = 0; i < 200; ++i) {
-    Tensor loss = tensor::Sum(tensor::Square(x));
-    loss.Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(x.at(0), 0.0f, 1e-3f);
-  EXPECT_NEAR(x.at(1), 0.0f, 1e-3f);
-}
-
-TEST(OptimizerTest, SgdMomentumConvergesFasterOnIllConditioned) {
-  // f(x) = 50 x0^2 + 0.5 x1^2.
-  auto run = [](double momentum) {
-    Tensor x = Tensor::FromVector({2}, {1.0f, 1.0f}, true);
-    Sgd opt({x}, /*lr=*/0.009, momentum);
-    for (int i = 0; i < 120; ++i) {
-      Tensor loss =
-          tensor::Sum(tensor::Mul(Tensor::FromVector({2}, {50.0f, 0.5f}),
-                                  tensor::Square(x)));
-      loss.Backward();
-      opt.Step();
-    }
-    return std::abs(x.at(1));
-  };
-  EXPECT_LT(run(0.9), run(0.0));
-}
-
 TEST(OptimizerTest, AdamConvergesOnLinearRegression) {
   Rng rng(24);
   // y = 2 x - 1 with noise-free targets; fit w, b.
@@ -483,20 +456,6 @@ TEST(OptimizerTest, AdamConvergesOnLinearRegression) {
   }
   EXPECT_NEAR(w.item(), 2.0f, 0.05f);
   EXPECT_NEAR(b.item(), -1.0f, 0.05f);
-}
-
-TEST(OptimizerTest, WeightDecayShrinksUnusedDirection) {
-  Tensor x = Tensor::FromVector({1}, {1.0f}, true);
-  Sgd opt({x}, /*lr=*/0.1, /*momentum=*/0.0, /*weight_decay=*/0.5);
-  // Loss gradient is zero; only decay acts.
-  Tensor zero = Tensor::Scalar(0.0f);
-  for (int i = 0; i < 10; ++i) {
-    Tensor loss = tensor::Mul(tensor::Reshape(x, {1}), zero);
-    tensor::Sum(loss).Backward();
-    opt.Step();
-  }
-  EXPECT_LT(x.at(0), 0.6f);
-  EXPECT_GT(x.at(0), 0.0f);
 }
 
 TEST(OptimizerTest, ClipGradNormScalesDown) {

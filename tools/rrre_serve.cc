@@ -24,7 +24,8 @@
 // there (crash-atomically) before any scoring happens.
 //
 // The architecture flags (--su, --si, --seed) must match the training run:
-// the checkpoint stores parameters, not the RrreConfig.
+// the checkpoint stores parameters, not the RrreConfig. Loading refuses a
+// checkpoint whose recorded --su/--si differ.
 
 #include <cstdio>
 

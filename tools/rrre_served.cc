@@ -33,7 +33,8 @@
 // SIGINT/SIGTERM drain gracefully: admitted requests are answered,
 // then the process exits.
 //
-// The architecture flags (--su, --si, --seed) must match the training run.
+// The architecture flags (--su, --si, --seed) must match the training run;
+// loading refuses a checkpoint whose recorded --su/--si differ.
 
 #include <chrono>
 #include <cstdio>
