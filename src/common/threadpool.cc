@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -192,6 +194,26 @@ bool ThreadPool::InWorker() { return tls_in_worker; }
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn) {
   ThreadPool::Global().ParallelFor(begin, end, grain, fn);
+}
+
+void ParallelForRanges(
+    const std::vector<int64_t>& sizes, int64_t grain,
+    const std::function<void(int64_t, int64_t, int64_t)>& fn) {
+  RRRE_CHECK_GT(grain, 0);
+  std::vector<std::pair<int64_t, int64_t>> chunks;  // (item, lo)
+  for (size_t item = 0; item < sizes.size(); ++item) {
+    for (int64_t lo = 0; lo < sizes[item]; lo += grain) {
+      chunks.emplace_back(static_cast<int64_t>(item), lo);
+    }
+  }
+  ParallelFor(0, static_cast<int64_t>(chunks.size()), 1,
+              [&](int64_t c0, int64_t c1) {
+                for (int64_t c = c0; c < c1; ++c) {
+                  const auto [item, lo] = chunks[static_cast<size_t>(c)];
+                  fn(item, lo,
+                     std::min(sizes[static_cast<size_t>(item)], lo + grain));
+                }
+              });
 }
 
 }  // namespace rrre::common

@@ -83,6 +83,17 @@ class ThreadPool {
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn);
 
+/// ParallelFor over several index ranges at once: invokes fn(item, lo, hi)
+/// for every grain-sized chunk [lo, hi) of each item's range
+/// [0, sizes[item]), the chunks of all items spread over the global pool.
+/// Chunk c of an item is [c*grain, min(size, (c+1)*grain)), so the partition
+/// depends only on (sizes, grain); an empty item has no chunk. Used to run
+/// one pass over a list of tensors, such as an optimizer step over every
+/// parameter.
+void ParallelForRanges(
+    const std::vector<int64_t>& sizes, int64_t grain,
+    const std::function<void(int64_t, int64_t, int64_t)>& fn);
+
 }  // namespace rrre::common
 
 #endif  // RRRE_COMMON_THREADPOOL_H_

@@ -113,9 +113,11 @@ void RrreTrainer::TrainEpochs(int64_t first_epoch,
     double sum_loss2 = 0.0;
     double sum_grad_norm = 0.0;
     int64_t batches = 0;
-    // Per-shard wall-times for this epoch; only wall-clock-including
-    // telemetry reports them.
+    // Per-shard wall-times and the summed tail (shard join through the
+    // optimizer step) for this epoch; only wall-clock-including telemetry
+    // reports them.
     common::Histogram shard_seconds_us;
+    double tail_seconds = 0.0;
     for (int64_t start = 0; start < n; start += config_.batch_size) {
       const int64_t bsz = std::min(n, start + config_.batch_size) - start;
       std::vector<double> ce_vals(static_cast<size_t>(step_->NumShards(bsz)));
@@ -177,6 +179,9 @@ void RrreTrainer::TrainEpochs(int64_t first_epoch,
         sum_grad_norm += nn::GlobalGradNorm(optimizer_->params());
       }
       optimizer_->Step();
+      if (telemetry_.writer != nullptr) {
+        tail_seconds += step_->SecondsSinceJoin();
+      }
       ++params_version_;
 
       double ce_full = 0.0;
@@ -200,7 +205,8 @@ void RrreTrainer::TrainEpochs(int64_t first_epoch,
     stats.seconds = timer.ElapsedSeconds();
     stats.grad_norm = sum_grad_norm / static_cast<double>(batches);
     if (telemetry_.writer != nullptr) {
-      EmitEpochTelemetry(stats, n, batches, shard_seconds_us);
+      EmitEpochTelemetry(stats, n, batches, shard_seconds_us,
+                         tail_seconds / static_cast<double>(batches));
     }
     if (callback) callback(stats);
   }
@@ -208,7 +214,8 @@ void RrreTrainer::TrainEpochs(int64_t first_epoch,
 
 void RrreTrainer::EmitEpochTelemetry(const EpochStats& stats,
                                      int64_t examples, int64_t batches,
-                                     const common::Histogram& shard_seconds) {
+                                     const common::Histogram& shard_seconds,
+                                     double tail_seconds_mean) {
   obs::JsonRecord record;
   record.AddInt("epoch", stats.epoch);
   record.AddDouble("loss", stats.loss);
@@ -228,6 +235,7 @@ void RrreTrainer::EmitEpochTelemetry(const EpochStats& stats,
     record.AddDouble("shard_us_mean", shard_seconds.Mean());
     record.AddDouble("shard_us_p95", shard_seconds.Percentile(95.0));
     record.AddDouble("shard_us_max", shard_seconds.Max());
+    record.AddDouble("tail_us_mean", tail_seconds_mean * 1e6);
   }
   const common::Status status = telemetry_.writer->Write(record);
   if (!status.ok()) {

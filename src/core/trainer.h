@@ -46,9 +46,11 @@ class RrreTrainer {
   /// record per epoch: the joint-objective decomposition (loss/loss1/loss2),
   /// the mean pre-clip gradient norm, batch/example counts, and — when
   /// `eval` is set — bRMSE and AUC of the current parameters on that
-  /// held-out set. Wall-clock fields (epoch seconds, per-shard wall-times)
-  /// are emitted only when the writer includes timings, so a timing-free
-  /// stream is bitwise identical across thread counts and runs.
+  /// held-out set. Wall-clock fields (epoch seconds, per-shard wall-times,
+  /// and `tail_us_mean`, the mean time per step from the shard join through
+  /// the optimizer step) are emitted only when the writer includes timings,
+  /// so a timing-free stream is bitwise identical across thread counts and
+  /// runs.
   ///
   /// Evaluating mid-training does not perturb the run: the trainer's RNG
   /// state is snapshotted around the eval pass, so the shuffles and history
@@ -178,7 +180,8 @@ class RrreTrainer {
   /// telemetry record for `stats`; RNG state is preserved across the call.
   void EmitEpochTelemetry(const EpochStats& stats, int64_t examples,
                           int64_t batches,
-                          const common::Histogram& shard_seconds);
+                          const common::Histogram& shard_seconds,
+                          double tail_seconds_mean);
 
   RrreConfig config_;
   TelemetryOptions telemetry_;

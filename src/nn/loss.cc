@@ -1,9 +1,13 @@
 #include "nn/loss.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/logging.h"
+#include "common/threadpool.h"
+#include "tensor/grad_sink.h"
 #include "tensor/ops.h"
+#include "tensor/tape.h"
 
 namespace rrre::nn {
 
@@ -53,13 +57,86 @@ Tensor WeightedMseLoss(const Tensor& pred, const std::vector<float>& targets,
                            static_cast<float>(1.0 / denom));
 }
 
+double FloatSquare(float x) {
+  // The product of two floats is exact in double. At or above FLT_MIN,
+  // rounding it to float is float(x * x). Below, adding 2^-97 rounds it to
+  // a multiple of 2^-149, the subnormal float spacing, ties to even as the
+  // float rounding does, and subtracting 2^-97 again is exact.
+  const double d = static_cast<double>(x) * static_cast<double>(x);
+  if (d >= 0x1p-126) return static_cast<float>(d);
+  return (d + 0x1p-97) - 0x1p-97;
+}
+
 Tensor L2Penalty(const std::vector<Tensor>& params) {
+  using tensor::internal::TensorImpl;
+  using tensor::kElemGrain;
   RRRE_CHECK(!params.empty());
-  Tensor total = tensor::Sum(tensor::Square(params[0]));
-  for (size_t i = 1; i < params.size(); ++i) {
-    total = tensor::Add(total, tensor::Sum(tensor::Square(params[i])));
+  auto out = tensor::BatchTape::NewNode("l2_penalty", {1}, 0, &params);
+  if (!out->tape_wired) {
+    std::unordered_set<const TensorImpl*> seen;
+    for (const Tensor& p : params) {
+      RRRE_CHECK(p.defined());
+      // The backward pass writes the tensors' grads concurrently.
+      RRRE_CHECK(seen.insert(p.impl().get()).second) << "tensor listed twice";
+      out->requires_grad = out->requires_grad || p.requires_grad();
+      out->parents.push_back(p.impl());
+    }
   }
-  return total;
+  // Sum's partition: one double partial per (tensor, kElemGrain chunk).
+  std::vector<int64_t> sizes;
+  std::vector<size_t> first_chunk;
+  size_t chunks = 0;
+  for (const Tensor& p : params) {
+    const int64_t n = p.numel();
+    sizes.push_back(n);
+    first_chunk.push_back(chunks);
+    chunks += static_cast<size_t>(std::max<int64_t>(1, (n + kElemGrain - 1) /
+                                                           kElemGrain));
+  }
+  // Each tensor's partials add in chunk order, the tensors' float sums in
+  // tensor order.
+  std::vector<double> partials(chunks, 0.0);
+  common::ParallelForRanges(
+      sizes, kElemGrain, [&](int64_t k, int64_t lo, int64_t hi) {
+        const float* x = params[static_cast<size_t>(k)].data();
+        double acc = 0.0;
+        for (int64_t i = lo; i < hi; ++i) acc += FloatSquare(x[i]);
+        partials[first_chunk[static_cast<size_t>(k)] +
+                 static_cast<size_t>(lo / kElemGrain)] = acc;
+      });
+  float total = 0.0f;
+  for (size_t k = 0; k < params.size(); ++k) {
+    const size_t end = k + 1 < params.size() ? first_chunk[k + 1] : chunks;
+    double sum = 0.0;
+    for (size_t c = first_chunk[k]; c < end; ++c) sum += partials[c];
+    total = k == 0 ? static_cast<float>(sum) : total + static_cast<float>(sum);
+  }
+  out->data[0] = total;
+  if (out->requires_grad && !out->tape_wired) {
+    tensor::BatchTape::NoteClosureAlloc();
+    TensorImpl* o = out.get();
+    // Captures only the node: a replayed step reads the same parents.
+    out->backward_fn = [o]() {
+      // A Square -> Sum -> Add chain hands each square the sum of its zeroed
+      // grad and g, which turns -0 into +0.
+      const float g = 0.0f + o->grad[0];
+      std::vector<float*> grads;
+      std::vector<int64_t> sizes;
+      for (const auto& parent : o->parents) {
+        float* ga = tensor::GradBuf(parent.get());
+        grads.push_back(ga);
+        sizes.push_back(ga != nullptr ? static_cast<int64_t>(parent->data.size())
+                                      : 0);
+      }
+      common::ParallelForRanges(
+          sizes, kElemGrain, [&](int64_t k, int64_t lo, int64_t hi) {
+            float* ga = grads[static_cast<size_t>(k)];
+            const float* x = o->parents[static_cast<size_t>(k)]->data.data();
+            for (int64_t i = lo; i < hi; ++i) ga[i] += g * (2.0f * x[i]);
+          });
+    };
+  }
+  return Tensor::WrapImpl(out);
 }
 
 }  // namespace rrre::nn

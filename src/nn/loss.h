@@ -28,9 +28,19 @@ tensor::Tensor WeightedMseLoss(const tensor::Tensor& pred,
                                const std::vector<float>& weights,
                                WeightedMseNorm norm = WeightedMseNorm::kBatchSize);
 
-/// Sum of squared entries of all given tensors — the L2 term of Eq. (14);
-/// multiply by gamma at the call site.
+/// Sum of squared entries of all given (distinct) tensors — the L2 term of
+/// Eq. (14); multiply by gamma at the call site. One graph node over every
+/// tensor, with the bits of the Square -> Sum -> Add chain over them:
+/// forward, each tensor's float squares summed in double over Sum's
+/// kElemGrain chunks, those partials added in chunk order, and the float
+/// results added in tensor order; backward, grad += (0 + g) * (2 * x) into
+/// each tensor's grad. Both passes run over element ranges on the pool.
 tensor::Tensor L2Penalty(const std::vector<tensor::Tensor>& params);
+
+/// double(float(x * x)), the value tensor::Square stores and tensor::Sum
+/// adds, computed without producing a subnormal float: below FLT_MIN each
+/// such result would cost the CPU a microcode assist. Exact for every x.
+double FloatSquare(float x);
 
 }  // namespace rrre::nn
 

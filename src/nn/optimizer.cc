@@ -1,8 +1,12 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
+#include <unordered_set>
 
 #include "common/logging.h"
+#include "common/threadpool.h"
+#include "tensor/kernels.h"
+#include "tensor/ops.h"
 
 namespace rrre::nn {
 
@@ -20,36 +24,50 @@ bool HasLiveGrad(const Tensor& t) {
 
 Adam::Adam(std::vector<Tensor> params, double lr)
     : params_(std::move(params)), lr_(lr) {
+  std::unordered_set<const void*> seen;
   for (const Tensor& p : params_) {
     RRRE_CHECK(p.defined());
     RRRE_CHECK(p.requires_grad());
+    // Step updates the parameters concurrently.
+    RRRE_CHECK(seen.insert(p.impl().get()).second) << "parameter listed twice";
   }
 }
 
 void Adam::Step() {
   ++t_;
-  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
+  const tensor::kernels::AdamScalars scalars{
+      .lr = lr_,
+      .beta1 = kBeta1,
+      .beta2 = kBeta2,
+      .eps = kEps,
+      .bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_)),
+      .bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_))};
+  // Slots are created serially; the update then runs over element ranges.
+  struct Live {
+    float* data;
+    const float* grad;
+    Slot* slot;
+  };
+  std::vector<Live> live;
+  std::vector<int64_t> sizes;
   for (Tensor& p : params_) {
     if (!HasLiveGrad(p)) continue;
-    float* data = p.data();
-    const std::vector<float>& grad = p.impl()->grad;
-    const size_t n = grad.size();
+    const size_t n = p.impl()->grad.size();
     Slot& slot = slots_[p.impl().get()];
     if (slot.m.size() != n) {
       slot.m.assign(n, 0.0f);
       slot.v.assign(n, 0.0f);
     }
-    for (size_t i = 0; i < n; ++i) {
-      const double g = grad[i];
-      slot.m[i] = static_cast<float>(kBeta1 * slot.m[i] + (1.0 - kBeta1) * g);
-      slot.v[i] =
-          static_cast<float>(kBeta2 * slot.v[i] + (1.0 - kBeta2) * g * g);
-      const double mhat = slot.m[i] / bias1;
-      const double vhat = slot.v[i] / bias2;
-      data[i] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + kEps));
-    }
+    live.push_back({p.data(), p.impl()->grad.data(), &slot});
+    sizes.push_back(static_cast<int64_t>(n));
   }
+  common::ParallelForRanges(
+      sizes, tensor::kElemGrain, [&](int64_t k, int64_t lo, int64_t hi) {
+        const Live& l = live[static_cast<size_t>(k)];
+        tensor::kernels::AdamUpdate(hi - lo, scalars, l.grad + lo,
+                                    l.data + lo, l.slot->m.data() + lo,
+                                    l.slot->v.data() + lo);
+      });
 }
 
 std::map<std::string, Tensor> Adam::StateTensors() const {
@@ -149,13 +167,23 @@ double GlobalGradNorm(const std::vector<Tensor>& params) {
 
 double ClipGradNorm(std::vector<Tensor>& params, double max_norm) {
   RRRE_CHECK_GT(max_norm, 0.0);
+  // The norm's serial double sum runs in parameter order: that order is its
+  // bits. The scale pass is per element and runs over element ranges.
   const double norm = GlobalGradNorm(params);
   if (norm > max_norm) {
     const float scale = static_cast<float>(max_norm / norm);
+    std::vector<float*> grads;
+    std::vector<int64_t> sizes;
     for (Tensor& p : params) {
       if (!HasLiveGrad(p)) continue;
-      for (float& g : p.impl()->grad) g *= scale;
+      grads.push_back(p.impl()->grad.data());
+      sizes.push_back(static_cast<int64_t>(p.impl()->grad.size()));
     }
+    common::ParallelForRanges(
+        sizes, tensor::kElemGrain, [&](int64_t k, int64_t lo, int64_t hi) {
+          float* g = grads[static_cast<size_t>(k)];
+          for (int64_t i = lo; i < hi; ++i) g[i] *= scale;
+        });
   }
   return norm;
 }

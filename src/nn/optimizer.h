@@ -11,11 +11,13 @@
 
 namespace rrre::nn {
 
-/// Adam (Kingma & Ba 2015) over a fixed parameter list, with beta1 = 0.9,
-/// beta2 = 0.999, eps = 1e-8 and no weight decay. A parameter whose gradient
-/// buffer was never touched in the current step (e.g. an embedding row
-/// outside the batch's graph) is treated as having zero gradient and
-/// skipped.
+/// Adam (Kingma & Ba 2015) over a fixed list of distinct parameters, with
+/// beta1 = 0.9, beta2 = 0.999, eps = 1e-8 and no weight decay. A parameter
+/// whose gradient buffer was never touched in the current step (e.g. an
+/// embedding row outside the batch's graph) is treated as having zero
+/// gradient and skipped. Step runs kernels::AdamUpdate over element ranges
+/// on the global pool; each element's update is one fixed expression, so
+/// the bits do not depend on the thread count.
 class Adam {
  public:
   Adam(std::vector<tensor::Tensor> params, double lr);
@@ -62,7 +64,8 @@ class Adam {
 double GlobalGradNorm(const std::vector<tensor::Tensor>& params);
 
 /// Scales all gradients so the global norm is at most max_norm. Returns the
-/// pre-clip norm.
+/// pre-clip norm. The scale pass runs over element ranges on the global
+/// pool, so `params` must be distinct.
 double ClipGradNorm(std::vector<tensor::Tensor>& params, double max_norm);
 
 }  // namespace rrre::nn

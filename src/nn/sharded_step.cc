@@ -74,6 +74,7 @@ std::vector<double> ShardedStep::Run(int64_t batch_examples,
       for (int64_t s = lo; s < hi; ++s) run_shard(s);
     });
   }
+  joined_.Reset();
 
   // Fresh grads for every touched leaf. The parameter-only loss's Backward
   // zeroes its own leaves again before adding into them, so it lands first
@@ -90,7 +91,9 @@ std::vector<double> ShardedStep::Run(int64_t batch_examples,
     if (use_tape_) tape_scope.emplace(tapes_[0].get());
     param_loss().Backward();
   }
-  for (GradSink& sink : sinks) sink.AccumulateInto();
+  std::vector<GradSink*> merge;
+  for (GradSink& sink : sinks) merge.push_back(&sink);
+  GradSink::AccumulateInto(merge);
   return seconds;
 }
 

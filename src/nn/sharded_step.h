@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "tensor/tape.h"
 #include "tensor/tensor.h"
 
@@ -21,7 +22,8 @@ namespace rrre::nn {
 /// callback and backpropagates it into a private GradSink, the shards
 /// running concurrently on the global pool. Run() then zeroes the real grad
 /// of every leaf a shard touched, backpropagates the optional parameter-only
-/// loss (RRRE's L2 term) into those grads and adds the sinks in shard order.
+/// loss (RRRE's L2 term) into those grads and adds the sinks in shard order,
+/// over element ranges on the pool.
 /// A shard weights its loss by frac = b_s / B, so the merged gradient is the
 /// whole batch's objective split exactly.
 ///
@@ -74,6 +76,11 @@ class ShardedStep {
   /// Counters of every shard tape, summed (zeroes with the tape off).
   tensor::BatchTape::Stats TapeStats() const;
 
+  /// Wall seconds since the last Run's shards joined. Read after the
+  /// caller's optimizer step, it times the step's tail: the parameter-only
+  /// loss, the merge, the clip and the optimizer.
+  double SecondsSinceJoin() const { return joined_.ElapsedSeconds(); }
+
  private:
   int64_t shard_size_;
   bool use_tape_;
@@ -81,6 +88,7 @@ class ShardedStep {
   /// Tape s belongs to shard s, which one thread runs at a time. Kept across
   /// steps: that is what lets batch N replay batch N-1's graph.
   std::vector<std::unique_ptr<tensor::BatchTape>> tapes_;
+  common::Timer joined_;
 };
 
 }  // namespace rrre::nn

@@ -21,7 +21,7 @@ namespace rrre::tensor {
 ///     shard_loss.Backward();          // leaf grads land in the sink
 ///   }
 ///   ...
-///   sink.AccumulateInto();            // serial, in shard order
+///   GradSink::AccumulateInto({&sink0, &sink1, ...});  // in shard order
 ///
 /// While a scope is active on a thread, every write the backward closures
 /// would make to a covered leaf's `grad` goes to the sink's buffer instead;
@@ -31,12 +31,13 @@ namespace rrre::tensor {
 /// optimizer's "no live grad, no update" semantics.
 ///
 /// A sink must only be activated on one thread at a time and is not
-/// self-synchronizing; the caller orders AccumulateInto calls.
+/// self-synchronizing; the caller orders AccumulateInto calls and makes no
+/// backward pass into the sinks while they run.
 ///
 /// Interplay with BatchTape: the two are orthogonal scopes. The tape recycles
 /// the *graph node* buffers of a step; the sink redirects where leaf
 /// *gradient* contributions land. Ops resolve the sink exactly once per
-/// backward closure (GradBuf in ops.cc) on the thread that runs Backward(),
+/// backward closure (GradBuf below) on the thread that runs Backward(),
 /// so chunks fanned out to the pool inside a closure all target the same
 /// already-resolved buffer — activating a sink and a tape scope on the same
 /// shard thread composes without extra locking.
@@ -62,16 +63,21 @@ class GradSink {
   };
 
   /// Buffer of the active sink covering `node` on this thread, allocated and
-  /// zeroed on first touch; nullptr when no active sink covers it. Called
-  /// from the backward closures in ops.cc.
+  /// zeroed on first touch; nullptr when no active sink covers it.
   static float* ActiveFind(internal::TensorImpl* node);
 
   /// True when the active sink on this thread covers `node` (without
   /// touching it). Used by Tensor::Backward to skip zeroing shared leaves.
   static bool ActiveCovers(const internal::TensorImpl* node);
 
-  /// Adds every touched buffer into its leaf's real grad (EnsureGrad'ed
-  /// first), in the leaf order given at construction. Call serially.
+  /// Adds the touched buffers of `sinks` into their leaves' real grads
+  /// (EnsureGrad'ed first; a leaf no sink touched is left alone). Every
+  /// element adds the sinks in the order given, and the elements run in
+  /// ranges on the pool, so the bits do not depend on the thread count. All
+  /// sinks must be built from the same leaf list.
+  static void AccumulateInto(const std::vector<GradSink*>& sinks);
+
+  /// The one-sink case: AccumulateInto({this}).
   void AccumulateInto();
 
   /// Leaves whose buffers were touched by a backward pass, in construction
@@ -79,11 +85,21 @@ class GradSink {
   std::vector<Tensor> Touched() const;
 
  private:
-  /// Construction order of the leaves, for deterministic accumulation.
+  /// The leaves, deduplicated, in construction order.
   std::vector<Tensor> leaves_;
-  /// Leaf impl -> lazily allocated grad buffer (empty until touched).
-  std::unordered_map<internal::TensorImpl*, std::vector<float>> buffers_;
+  /// buffers_[k] is leaves_[k]'s grad buffer, empty until touched.
+  std::vector<std::vector<float>> buffers_;
+  /// Leaf impl -> its index in leaves_.
+  std::unordered_map<const internal::TensorImpl*, size_t> index_;
 };
+
+/// Buffer gradient contributions for `node` accumulate into, or nullptr when
+/// the node does not participate in differentiation. When a GradSink scope
+/// is active on this thread and covers the node (a shared parameter leaf in
+/// a data-parallel shard), the sink's private buffer is returned instead of
+/// the node's own grad — resolve this on the thread running backward, before
+/// fanning chunks out to the pool. Every backward closure calls it.
+float* GradBuf(internal::TensorImpl* node);
 
 }  // namespace rrre::tensor
 

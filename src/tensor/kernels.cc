@@ -493,4 +493,54 @@ void TanhN(const float* in, float* out, int64_t n) {
   for (; i < n; ++i) out[i] = Tanh(in[i]);
 }
 
+// -- Adam ---------------------------------------------------------------------
+//
+// +, -, *, / and sqrt are correctly rounded in every lane, and float <->
+// double conversions round the same way vector or scalar, so the lanes give
+// the scalar loop's bits as long as no product is fused into a sum: this
+// library's -ffp-contract=off keeps them apart.
+
+void AdamUpdate(int64_t n, const AdamScalars& s, const float* g, float* p,
+                float* m, float* v) {
+  const double c1 = 1.0 - s.beta1;
+  const double c2 = 1.0 - s.beta2;
+  int64_t i = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  const __m256d beta1 = _mm256_set1_pd(s.beta1);
+  const __m256d beta2 = _mm256_set1_pd(s.beta2);
+  const __m256d vc1 = _mm256_set1_pd(c1);
+  const __m256d vc2 = _mm256_set1_pd(c2);
+  const __m256d lr = _mm256_set1_pd(s.lr);
+  const __m256d eps = _mm256_set1_pd(s.eps);
+  const __m256d bias1 = _mm256_set1_pd(s.bias1);
+  const __m256d bias2 = _mm256_set1_pd(s.bias2);
+  for (; i + 4 <= n; i += 4) {
+    const __m256d gd = _mm256_cvtps_pd(_mm_loadu_ps(g + i));
+    const __m128 mf = _mm256_cvtpd_ps(
+        _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))),
+                      _mm256_mul_pd(vc1, gd)));
+    const __m128 vf = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(beta2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
+        _mm256_mul_pd(_mm256_mul_pd(vc2, gd), gd)));
+    _mm_storeu_ps(m + i, mf);
+    _mm_storeu_ps(v + i, vf);
+    const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(mf), bias1);
+    const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(vf), bias2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                      _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm_storeu_ps(p + i,
+                  _mm_sub_ps(_mm_loadu_ps(p + i), _mm256_cvtpd_ps(step)));
+  }
+#endif
+  for (; i < n; ++i) {
+    const double gd = g[i];
+    m[i] = static_cast<float>(s.beta1 * m[i] + c1 * gd);
+    v[i] = static_cast<float>(s.beta2 * v[i] + c2 * gd * gd);
+    const double mhat = m[i] / s.bias1;
+    const double vhat = v[i] / s.bias2;
+    p[i] -= static_cast<float>(s.lr * mhat / (std::sqrt(vhat) + s.eps));
+  }
+}
+
 }  // namespace rrre::tensor::kernels

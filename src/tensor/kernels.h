@@ -88,6 +88,28 @@ float Tanh(float x);
 /// takes the n % 8 tail and non-AVX2 builds. `out` may equal `in`.
 void TanhN(const float* in, float* out, int64_t n);
 
+/// One step's scalars for AdamUpdate.
+struct AdamScalars {
+  double lr;
+  double beta1;
+  double beta2;
+  double eps;
+  double bias1;  ///< 1 - beta1^t
+  double bias2;  ///< 1 - beta2^t
+};
+
+/// One Adam step over n parameters p with gradients g and moments m, v. Per
+/// element, in double:
+///   m = float(beta1 * m + (1 - beta1) * g)
+///   v = float(beta2 * v + (1 - beta2) * g * g)
+///   p -= float(lr * (m / bias1) / (sqrt(v / bias2) + eps))
+/// with every product, quotient, root and sum rounded separately, so the
+/// result is a pure function of the element's values. Runs 4 double lanes
+/// per AVX2 instruction; a scalar loop of the same expression takes the
+/// n % 4 tail and non-AVX2 builds, with the same bits.
+void AdamUpdate(int64_t n, const AdamScalars& s, const float* g, float* p,
+                float* m, float* v);
+
 /// Numerically stable logistic, shared by the eager Sigmoid op and the fused
 /// gate kernels so both graph shapes produce identical bits.
 inline float StableSigmoid(float x) {

@@ -26,9 +26,6 @@ namespace {
 // blocked GEMM in kernels.cc honors the same contract per output element
 // (ascending k within a cache panel, panels in ascending order).
 
-/// Elements per chunk for cheap elementwise kernels.
-constexpr int64_t kElemGrain = 1 << 14;
-
 /// Rows per chunk for row-partitioned kernels, sized so a chunk carries
 /// roughly kElemGrain scalar operations. Depends only on the shape.
 int64_t RowGrain(int64_t cost_per_row) {
@@ -68,19 +65,6 @@ std::shared_ptr<TensorImpl> MakeNode(const char* op, const Shape& shape,
     impl->parents.push_back(p.impl());
   }
   return impl;
-}
-
-/// Buffer gradient contributions for `node` accumulate into, or nullptr when
-/// the node does not participate in differentiation. When a GradSink scope
-/// is active on this thread and covers the node (a shared parameter leaf in
-/// a data-parallel shard), the sink's private buffer is returned instead of
-/// the node's own grad — resolve this on the thread running backward, before
-/// fanning chunks out to the pool.
-float* GradBuf(TensorImpl* node) {
-  if (!node->requires_grad) return nullptr;
-  if (float* redirected = GradSink::ActiveFind(node)) return redirected;
-  node->EnsureGrad();
-  return node->grad.data();
 }
 
 void CheckSameShape(const Tensor& a, const Tensor& b) {

@@ -12,6 +12,11 @@ namespace rrre::tensor {
 // (shape errors are programmer errors), computes the forward value eagerly,
 // and registers a backward closure on the result node.
 
+/// Elements per chunk of the cheap elementwise kernels, and of Sum's double
+/// partials: a reduction that must reproduce Sum's bits keeps this
+/// partition.
+inline constexpr int64_t kElemGrain = int64_t{1} << 14;
+
 // -- Elementwise binary (operands must have identical shapes) ----------------
 
 Tensor Add(const Tensor& a, const Tensor& b);

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <functional>
 #include <iterator>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,9 @@
 #include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
+#include "nn/sharded_step.h"
 #include "tensor/grad_sink.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -904,6 +909,428 @@ TEST_F(KernelReductionTest, DoubleScrapeIsBitwiseEqual) {
     const auto second = scrape();
     EXPECT_EQ(first, second) << "threads=" << threads;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Training-tail oracle, in the InferLLM CheckerHelper idiom: the work after
+// the shard join as it ran serially before it moved onto the pool — the
+// Square -> Sum -> Add L2 graph, the per-sink merge, the serial clip and the
+// scalar Adam — is the reference the product's tail (nn::L2Penalty,
+// GradSink::AccumulateInto, nn::ClipGradNorm, nn::Adam::Step) must match bit
+// for bit at 1 and 4 threads. Inputs mix +-0, subnormals, values whose
+// square underflows and large magnitudes, over sizes that straddle the
+// 16,384-element chunk and the 4-lane width.
+// ---------------------------------------------------------------------------
+
+namespace tail_reference {
+
+Tensor L2Penalty(const std::vector<Tensor>& params) {
+  Tensor total = tensor::Sum(tensor::Square(params[0]));
+  for (size_t i = 1; i < params.size(); ++i) {
+    total = tensor::Add(total, tensor::Sum(tensor::Square(params[i])));
+  }
+  return total;
+}
+
+bool HasLiveGrad(const Tensor& t) {
+  return t.impl()->grad.size() == t.impl()->data.size();
+}
+
+double ClipGradNorm(std::vector<Tensor>& params, double max_norm) {
+  double total = 0.0;
+  for (const Tensor& p : params) {
+    if (!HasLiveGrad(p)) continue;
+    for (float g : p.impl()->grad) total += static_cast<double>(g) * g;
+  }
+  const double norm = std::sqrt(total);
+  if (norm > max_norm) {
+    const float scale = static_cast<float>(max_norm / norm);
+    for (Tensor& p : params) {
+      if (!HasLiveGrad(p)) continue;
+      for (float& g : p.impl()->grad) g *= scale;
+    }
+  }
+  return norm;
+}
+
+class Adam {
+ public:
+  Adam(std::vector<Tensor> params, double lr)
+      : params_(std::move(params)), lr_(lr), m_(params_.size()),
+        v_(params_.size()) {}
+
+  void Step() {
+    ++t_;
+    const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+    const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
+    for (size_t k = 0; k < params_.size(); ++k) {
+      Tensor& p = params_[k];
+      if (!HasLiveGrad(p)) continue;
+      float* data = p.data();
+      const std::vector<float>& grad = p.impl()->grad;
+      const size_t n = grad.size();
+      std::vector<float>& m = m_[k];
+      std::vector<float>& v = v_[k];
+      if (m.size() != n) {
+        m.assign(n, 0.0f);
+        v.assign(n, 0.0f);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const double g = grad[i];
+        m[i] = static_cast<float>(kBeta1 * m[i] + (1.0 - kBeta1) * g);
+        v[i] = static_cast<float>(kBeta2 * v[i] + (1.0 - kBeta2) * g * g);
+        const double mhat = m[i] / bias1;
+        const double vhat = v[i] / bias2;
+        data[i] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + kEps));
+      }
+    }
+  }
+
+  /// The moments under nn::Adam::StateTensors()'s names.
+  std::map<std::string, std::vector<float>> State() const {
+    std::map<std::string, std::vector<float>> state;
+    for (size_t k = 0; k < params_.size(); ++k) {
+      if (m_[k].empty()) continue;
+      state["adam." + std::to_string(k) + ".m"] = m_[k];
+      state["adam." + std::to_string(k) + ".v"] = v_[k];
+    }
+    return state;
+  }
+
+ private:
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
+  std::vector<Tensor> params_;
+  double lr_;
+  int64_t t_ = 0;
+  std::vector<std::vector<float>> m_;
+  std::vector<std::vector<float>> v_;
+};
+
+}  // namespace tail_reference
+
+class TailOracleTest : public KernelTestBase {};
+
+uint64_t Bits64(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Element i of a tensor salted by `salt`: mostly N(0, 0.5) draws, with +-0,
+/// subnormals, values whose float square underflows (|x| < 2^-63) and large
+/// magnitudes at fixed strides.
+float TailValue(int64_t i, Rng& rng) {
+  const float sign = (i / 13) % 2 == 0 ? 1.0f : -1.0f;
+  switch (i % 13) {
+    case 0:
+      return sign * 0.0f;
+    case 1:
+      return FromBits(0x00000001u + static_cast<uint32_t>(i % 0x7fffff)) *
+             sign;
+    case 2:
+      return sign * 3.0e-20f;
+    case 3:
+      return sign * std::ldexp(1.0f, -75);  // square is half a subnormal step
+    case 4:
+      return sign * 7.5e9f;
+    default:
+      return static_cast<float>(rng.Normal()) * 0.5f;
+  }
+}
+
+std::vector<Tensor> TailLeaves(const std::vector<int64_t>& sizes,
+                               uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tensor> leaves;
+  for (int64_t n : sizes) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = TailValue(i, rng);
+    leaves.push_back(Tensor::FromVector({n}, std::move(v), true));
+  }
+  return leaves;
+}
+
+/// Element-wise bit comparison; reports the first differing index.
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (Bits(got[i]) != Bits(want[i])) {
+      ADD_FAILURE() << what << " differs at " << i << ": " << Hex(Bits(got[i]))
+                    << " vs " << Hex(Bits(want[i]));
+      return;
+    }
+  }
+}
+
+TEST_F(TailOracleTest, L2PenaltyMatchesSquareSumAddGraph) {
+  const std::vector<std::vector<int64_t>> cases = {
+      {1},
+      {5, 4, 3, 8, 9},
+      {16383, 16384, 16385, 2 * 16384 + 3, 7},
+  };
+  for (const auto& sizes : cases) {
+    for (int threads : {1, 4}) {
+      ThreadPool::SetGlobalSize(threads);
+      std::vector<Tensor> product = TailLeaves(sizes, 11);
+      std::vector<Tensor> reference = TailLeaves(sizes, 11);
+      // Squares of a few subnormal steps each, so that their rounding
+      // shows in a subnormal value.
+      std::vector<float> tiny(1031);
+      for (size_t i = 0; i < tiny.size(); ++i) {
+        tiny[i] = std::ldexp(1.0f + static_cast<float>(i) / 1031.0f,
+                             -71 - static_cast<int>(i % 5));
+      }
+      product.push_back(Tensor::FromVector({1031}, tiny, true));
+      reference.push_back(Tensor::FromVector({1031}, tiny, true));
+      Tensor tiny_p = nn::L2Penalty({product.back()});
+      Tensor tiny_r = tail_reference::L2Penalty({reference.back()});
+      EXPECT_GT(tiny_r.item(), 0.0f);
+      EXPECT_EQ(Hex(Bits(tiny_p.item())), Hex(Bits(tiny_r.item())));
+      // A tensor that needs no grad still counts in the value.
+      product.push_back(Tensor::FromVector({6}, {1, -2, 0, 3e-30f, 4, 5}));
+      reference.push_back(product.back());
+      Tensor p = tensor::MulScalar(nn::L2Penalty(product), 0.75f);
+      Tensor r = tensor::MulScalar(tail_reference::L2Penalty(reference), 0.75f);
+      const std::string at = "sizes=" + std::to_string(sizes.size()) +
+                             " threads=" + std::to_string(threads);
+      EXPECT_EQ(Hex(Bits(p.item())), Hex(Bits(r.item()))) << at;
+      p.Backward();
+      r.Backward();
+      for (size_t k = 0; k + 1 < product.size(); ++k) {
+        ExpectSameBits(product[k].grad(), reference[k].grad(),
+                       at + " grad " + std::to_string(k));
+      }
+    }
+  }
+}
+
+/// One shard's loss: sum over the leaves it touches of Sum(leaf * w), w
+/// drawn like the leaves, so each sink buffer holds w's bits.
+Tensor TailShardLoss(int64_t shard, const std::vector<Tensor>& leaves,
+                     const std::vector<std::vector<float>>& weights,
+                     const std::function<bool(int64_t, size_t)>& touches) {
+  Tensor loss;
+  for (size_t k = 0; k < leaves.size(); ++k) {
+    if (!touches(shard, k)) continue;
+    const std::vector<float>& w =
+        weights[static_cast<size_t>(shard) * leaves.size() + k];
+    Tensor term = tensor::Sum(
+        tensor::Mul(leaves[k], Tensor::FromVector(leaves[k].shape(), w)));
+    loss = loss.defined() ? tensor::Add(loss, term) : term;
+  }
+  return loss;
+}
+
+struct TailRun {
+  std::vector<std::vector<float>> params;
+  std::vector<std::vector<float>> grads;
+  std::map<std::string, std::vector<float>> adam;
+  std::vector<double> norms;
+  std::vector<float> l2;
+};
+
+TEST_F(TailOracleTest, ProductTailMatchesSerialReference) {
+  // 11 leaves: the chunk and lane boundaries, plus leaf 10, which no shard
+  // touches. Shard s skips leaf k when (k + 2s) % 3 == 0.
+  const std::vector<int64_t> sizes = {1,     3,     4,     5,
+                                      8,     9,     16383, 16384,
+                                      16385, 32771, 37};
+  constexpr int64_t kShards = 4;
+  constexpr int kSteps = 3;
+  constexpr double kLr = 1e-2;
+  constexpr double kMaxNorm = 1.0;
+  constexpr float kL2Coeff = 0.37f;
+  const auto touches = [&](int64_t s, size_t k) {
+    return k + 1 < sizes.size() && (k + 2 * static_cast<size_t>(s)) % 3 != 0;
+  };
+  std::vector<std::vector<float>> weights;
+  {
+    Rng rng(29);
+    for (int64_t s = 0; s < kShards; ++s) {
+      for (int64_t n : sizes) {
+        std::vector<float> w(static_cast<size_t>(n));
+        for (int64_t i = 0; i < n; ++i) {
+          w[static_cast<size_t>(i)] = TailValue(i + s, rng);
+        }
+        weights.push_back(std::move(w));
+      }
+    }
+  }
+  auto finish = [&](const std::vector<Tensor>& leaves, TailRun& run) {
+    for (const Tensor& t : leaves) {
+      run.params.push_back(t.ToVector());
+      run.grads.push_back(t.impl()->grad);
+    }
+  };
+
+  for (bool with_l2 : {true, false}) {
+    // The reference: each shard's buffers are its loss's plain gradients,
+    // then the serial tail exactly as it shipped.
+    ThreadPool::SetGlobalSize(1);
+    TailRun want;
+    {
+      std::vector<Tensor> leaves = TailLeaves(sizes, 5);
+      tail_reference::Adam adam(leaves, kLr);
+      for (int step = 0; step < kSteps; ++step) {
+        std::vector<std::vector<std::vector<float>>> bufs(kShards);
+        for (int64_t s = 0; s < kShards; ++s) {
+          TailShardLoss(s, leaves, weights, touches).Backward();
+          bufs[static_cast<size_t>(s)].resize(leaves.size());
+          for (size_t k = 0; k < leaves.size(); ++k) {
+            if (touches(s, k)) {
+              bufs[static_cast<size_t>(s)][k] = leaves[k].impl()->grad;
+            }
+          }
+        }
+        std::set<size_t> zeroed;
+        for (int64_t s = 0; s < kShards; ++s) {
+          for (size_t k = 0; k < leaves.size(); ++k) {
+            if (touches(s, k) && zeroed.insert(k).second) leaves[k].ZeroGrad();
+          }
+        }
+        if (with_l2) {
+          Tensor l2 = tail_reference::L2Penalty(leaves);
+          want.l2.push_back(l2.item());
+          tensor::MulScalar(l2, kL2Coeff).Backward();
+        }
+        for (const auto& shard_bufs : bufs) {
+          for (size_t k = 0; k < leaves.size(); ++k) {
+            const std::vector<float>& buf = shard_bufs[k];
+            if (buf.empty()) continue;
+            std::vector<float>& g = leaves[k].mutable_grad();
+            for (size_t i = 0; i < buf.size(); ++i) g[i] += buf[i];
+          }
+        }
+        want.norms.push_back(tail_reference::ClipGradNorm(leaves, kMaxNorm));
+        adam.Step();
+      }
+      finish(leaves, want);
+      want.adam = adam.State();
+    }
+    for (bool use_tape : {false, true}) {
+      for (int threads : {1, 4}) {
+        ThreadPool::SetGlobalSize(threads);
+        const std::string at = std::string("l2=") + (with_l2 ? "1" : "0") +
+                               " tape=" + (use_tape ? "1" : "0") +
+                               " threads=" + std::to_string(threads);
+        TailRun got;
+        std::vector<Tensor> leaves = TailLeaves(sizes, 5);
+        nn::Adam adam(leaves, kLr);
+        nn::ShardedStep step(/*shard_size=*/1, use_tape, /*tape_replay=*/true);
+        Rng rng(1);
+        for (int step_index = 0; step_index < kSteps; ++step_index) {
+          nn::ShardedStep::ParamLoss l2_loss;
+          if (with_l2) {
+            l2_loss = [&] {
+              Tensor l2 = nn::L2Penalty(leaves);
+              got.l2.push_back(l2.item());
+              return tensor::MulScalar(l2, kL2Coeff);
+            };
+          }
+          step.Run(
+              kShards, leaves, rng,
+              [&](const nn::ShardedStep::Shard& shard, Rng&) {
+                return TailShardLoss(shard.index, leaves, weights, touches);
+              },
+              l2_loss);
+          got.norms.push_back(nn::ClipGradNorm(leaves, kMaxNorm));
+          adam.Step();
+        }
+        finish(leaves, got);
+        for (const auto& [name, t] : adam.StateTensors()) {
+          if (name != "adam.t") got.adam[name] = t.ToVector();
+        }
+        ASSERT_EQ(got.norms.size(), want.norms.size()) << at;
+        for (size_t i = 0; i < got.norms.size(); ++i) {
+          EXPECT_EQ(Bits64(got.norms[i]), Bits64(want.norms[i]))
+              << at << " norm of step " << i;
+          EXPECT_GT(want.norms[i], kMaxNorm) << "the clip must fire";
+        }
+        ASSERT_EQ(got.l2.size(), want.l2.size()) << at;
+        for (size_t i = 0; i < got.l2.size(); ++i) {
+          EXPECT_EQ(Hex(Bits(got.l2[i])), Hex(Bits(want.l2[i])))
+              << at << " L2 of step " << i;
+        }
+        for (size_t k = 0; k < sizes.size(); ++k) {
+          ExpectSameBits(got.params[k], want.params[k],
+                         at + " param " + std::to_string(k));
+          ExpectSameBits(got.grads[k], want.grads[k],
+                         at + " grad " + std::to_string(k));
+        }
+        ASSERT_EQ(got.adam.size(), want.adam.size()) << at;
+        for (const auto& [name, m] : want.adam) {
+          ExpectSameBits(got.adam[name], m, at + " " + name);
+        }
+        // Leaf 10 gets a gradient only from the L2 term.
+        EXPECT_EQ(got.adam.count("adam.10.m"), with_l2 ? 1u : 0u) << at;
+      }
+    }
+  }
+}
+
+TEST_F(TailOracleTest, SinkMergeAcceptsOneSinkAtATime) {
+  // perfbench merges its shards one AccumulateInto() call at a time; that
+  // must give the multi-sink merge's bits.
+  const std::vector<int64_t> sizes = {16385, 6, 1};
+  Rng rng(3);
+  std::vector<std::vector<float>> w;
+  for (int64_t s = 0; s < 3; ++s) {
+    for (int64_t n : sizes) {
+      std::vector<float> v(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = TailValue(i, rng);
+      w.push_back(std::move(v));
+    }
+  }
+  const auto touches = [](int64_t s, size_t k) { return (k + s) % 2 == 0; };
+  std::vector<std::vector<float>> merged[2];
+  for (int one_at_a_time : {0, 1}) {
+    ThreadPool::SetGlobalSize(4);
+    std::vector<Tensor> leaves = TailLeaves(sizes, 8);
+    std::vector<tensor::GradSink> sinks;
+    for (int64_t s = 0; s < 3; ++s) sinks.emplace_back(leaves);
+    for (int64_t s = 0; s < 3; ++s) {
+      Tensor loss = TailShardLoss(s, leaves, w, touches);
+      tensor::GradSink::Scope scope(&sinks[static_cast<size_t>(s)]);
+      loss.Backward();
+    }
+    for (Tensor& t : leaves) t.ZeroGrad();
+    if (one_at_a_time == 1) {
+      for (tensor::GradSink& sink : sinks) sink.AccumulateInto();
+    } else {
+      tensor::GradSink::AccumulateInto({&sinks[0], &sinks[1], &sinks[2]});
+    }
+    for (const Tensor& t : leaves) merged[one_at_a_time].push_back(t.impl()->grad);
+  }
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    ExpectSameBits(merged[1][k], merged[0][k], "leaf " + std::to_string(k));
+  }
+}
+
+TEST_F(TailOracleTest, FloatSquareMatchesFloatProductOnStridedSweeps) {
+  // A prime stride through all 2^32 bit patterns, then a denser one through
+  // the band whose squares fall below FLT_MIN or just above it
+  // (2^-76 <= |x| < 2^-62), both signs.
+  int64_t checked = 0, mismatches = 0;
+  std::string first;
+  auto check = [&](uint32_t w) {
+    const float x = FromBits(w);
+    const double want = static_cast<double>(x * x);
+    const double got = nn::FloatSquare(x);
+    ++checked;
+    if (Bits64(got) != Bits64(want) && mismatches++ == 0) {
+      first = "x=" + Hex(w);
+    }
+  };
+  for (uint64_t w = 0; w < (uint64_t{1} << 32); w += 4099) {
+    check(static_cast<uint32_t>(w));
+  }
+  EXPECT_EQ(checked, 1047809);
+  const uint32_t lo = Bits(std::ldexp(1.0f, -76));
+  const uint32_t hi = Bits(std::ldexp(1.0f, -62));
+  for (uint32_t w = lo; w < hi; w += 257) {
+    check(w);
+    check(w | 0x80000000u);
+  }
+  EXPECT_EQ(mismatches, 0) << "first: " << first;
 }
 
 // ---------------------------------------------------------------------------

@@ -392,5 +392,29 @@ TEST_F(TrainerTelemetryTest, TimingFreeStreamIsThreadCountInvariant) {
   EXPECT_NE(records.value()[0].Find("eval_auc"), nullptr);
 }
 
+TEST_F(TrainerTelemetryTest, StepTailTimeIsReportedOnlyWithTimings) {
+  // tail_us_mean is the mean wall time per step from the shard join through
+  // the optimizer step: a timing, so a timing-free stream leaves it out.
+  const std::string timed_path = ::testing::TempDir() + "/telemetry_tail.jsonl";
+  auto timed = obs::ParseJsonLines(
+      RunTelemetryFit(/*threads=*/4, /*include_timings=*/true, timed_path));
+  ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+  ASSERT_EQ(timed.value().size(), 2u);
+  for (const obs::JsonRecord& record : timed.value()) {
+    const std::string* tail = record.Find("tail_us_mean");
+    ASSERT_NE(tail, nullptr);
+    EXPECT_GT(std::stod(*tail), 0.0);
+  }
+  const std::string untimed_path =
+      ::testing::TempDir() + "/telemetry_untimed.jsonl";
+  auto untimed = obs::ParseJsonLines(
+      RunTelemetryFit(/*threads=*/4, /*include_timings=*/false, untimed_path));
+  ASSERT_TRUE(untimed.ok()) << untimed.status().ToString();
+  ASSERT_EQ(untimed.value().size(), 2u);
+  for (const obs::JsonRecord& record : untimed.value()) {
+    EXPECT_EQ(record.Find("tail_us_mean"), nullptr);
+  }
+}
+
 }  // namespace
 }  // namespace rrre
