@@ -206,14 +206,13 @@ void ParallelForRanges(
       chunks.emplace_back(static_cast<int64_t>(item), lo);
     }
   }
-  ParallelFor(0, static_cast<int64_t>(chunks.size()), 1,
-              [&](int64_t c0, int64_t c1) {
-                for (int64_t c = c0; c < c1; ++c) {
-                  const auto [item, lo] = chunks[static_cast<size_t>(c)];
-                  fn(item, lo,
-                     std::min(sizes[static_cast<size_t>(item)], lo + grain));
-                }
-              });
+  auto run = [&](int64_t c0, int64_t c1) {
+    for (int64_t c = c0; c < c1; ++c) {
+      const auto [item, lo] = chunks[static_cast<size_t>(c)];
+      fn(item, lo, std::min(sizes[static_cast<size_t>(item)], lo + grain));
+    }
+  };
+  ParallelFor(0, static_cast<int64_t>(chunks.size()), 1, run);
 }
 
 }  // namespace rrre::common

@@ -125,8 +125,8 @@ Tensor L2Penalty(const std::vector<Tensor>& params) {
       for (const auto& parent : o->parents) {
         float* ga = tensor::GradBuf(parent.get());
         grads.push_back(ga);
-        sizes.push_back(ga != nullptr ? static_cast<int64_t>(parent->data.size())
-                                      : 0);
+        const auto n = static_cast<int64_t>(parent->data.size());
+        sizes.push_back(ga != nullptr ? n : 0);
       }
       common::ParallelForRanges(
           sizes, kElemGrain, [&](int64_t k, int64_t lo, int64_t hi) {

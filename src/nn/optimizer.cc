@@ -167,23 +167,17 @@ double GlobalGradNorm(const std::vector<Tensor>& params) {
 
 double ClipGradNorm(std::vector<Tensor>& params, double max_norm) {
   RRRE_CHECK_GT(max_norm, 0.0);
-  // The norm's serial double sum runs in parameter order: that order is its
-  // bits. The scale pass is per element and runs over element ranges.
+  // Both passes stay serial. The norm's double sum runs in parameter order,
+  // and that order is its bits. The scale pass costs less than waking the
+  // pool: on a 4-core x86-64 VM, perfbench's traced train workload read
+  // nn.clip_us 64.5 us with it over element ranges and 48.5 us serial.
   const double norm = GlobalGradNorm(params);
   if (norm > max_norm) {
     const float scale = static_cast<float>(max_norm / norm);
-    std::vector<float*> grads;
-    std::vector<int64_t> sizes;
     for (Tensor& p : params) {
       if (!HasLiveGrad(p)) continue;
-      grads.push_back(p.impl()->grad.data());
-      sizes.push_back(static_cast<int64_t>(p.impl()->grad.size()));
+      for (float& g : p.impl()->grad) g *= scale;
     }
-    common::ParallelForRanges(
-        sizes, tensor::kElemGrain, [&](int64_t k, int64_t lo, int64_t hi) {
-          float* g = grads[static_cast<size_t>(k)];
-          for (int64_t i = lo; i < hi; ++i) g[i] *= scale;
-        });
   }
   return norm;
 }

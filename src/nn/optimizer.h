@@ -64,8 +64,7 @@ class Adam {
 double GlobalGradNorm(const std::vector<tensor::Tensor>& params);
 
 /// Scales all gradients so the global norm is at most max_norm. Returns the
-/// pre-clip norm. The scale pass runs over element ranges on the global
-/// pool, so `params` must be distinct.
+/// pre-clip norm.
 double ClipGradNorm(std::vector<tensor::Tensor>& params, double max_norm);
 
 }  // namespace rrre::nn

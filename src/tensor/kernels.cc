@@ -516,12 +516,12 @@ void AdamUpdate(int64_t n, const AdamScalars& s, const float* g, float* p,
   const __m256d bias2 = _mm256_set1_pd(s.bias2);
   for (; i + 4 <= n; i += 4) {
     const __m256d gd = _mm256_cvtps_pd(_mm_loadu_ps(g + i));
+    const __m256d md = _mm256_cvtps_pd(_mm_loadu_ps(m + i));
+    const __m256d vd = _mm256_cvtps_pd(_mm_loadu_ps(v + i));
     const __m128 mf = _mm256_cvtpd_ps(
-        _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))),
-                      _mm256_mul_pd(vc1, gd)));
+        _mm256_add_pd(_mm256_mul_pd(beta1, md), _mm256_mul_pd(vc1, gd)));
     const __m128 vf = _mm256_cvtpd_ps(_mm256_add_pd(
-        _mm256_mul_pd(beta2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
-        _mm256_mul_pd(_mm256_mul_pd(vc2, gd), gd)));
+        _mm256_mul_pd(beta2, vd), _mm256_mul_pd(_mm256_mul_pd(vc2, gd), gd)));
     _mm_storeu_ps(m + i, mf);
     _mm_storeu_ps(v + i, vf);
     const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(mf), bias1);

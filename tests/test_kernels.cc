@@ -1042,7 +1042,9 @@ std::vector<Tensor> TailLeaves(const std::vector<int64_t>& sizes,
   std::vector<Tensor> leaves;
   for (int64_t n : sizes) {
     std::vector<float> v(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = TailValue(i, rng);
+    for (int64_t i = 0; i < n; ++i) {
+      v[static_cast<size_t>(i)] = TailValue(i, rng);
+    }
     leaves.push_back(Tensor::FromVector({n}, std::move(v), true));
   }
   return leaves;
@@ -1276,7 +1278,9 @@ TEST_F(TailOracleTest, SinkMergeAcceptsOneSinkAtATime) {
   for (int64_t s = 0; s < 3; ++s) {
     for (int64_t n : sizes) {
       std::vector<float> v(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = TailValue(i, rng);
+      for (int64_t i = 0; i < n; ++i) {
+      v[static_cast<size_t>(i)] = TailValue(i, rng);
+    }
       w.push_back(std::move(v));
     }
   }
@@ -1298,7 +1302,9 @@ TEST_F(TailOracleTest, SinkMergeAcceptsOneSinkAtATime) {
     } else {
       tensor::GradSink::AccumulateInto({&sinks[0], &sinks[1], &sinks[2]});
     }
-    for (const Tensor& t : leaves) merged[one_at_a_time].push_back(t.impl()->grad);
+    for (const Tensor& t : leaves) {
+      merged[one_at_a_time].push_back(t.impl()->grad);
+    }
   }
   for (size_t k = 0; k < sizes.size(); ++k) {
     ExpectSameBits(merged[1][k], merged[0][k], "leaf " + std::to_string(k));

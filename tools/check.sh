@@ -28,9 +28,11 @@
 # replay-vs-rebuild bitwise crosses) under both AddressSanitizer and
 # UndefinedBehaviorSanitizer (the packed-panel kernels do the most pointer
 # arithmetic in the codebase), plus a repeat-until-fail guard over the
-# tape/replay suites, and the TSan leg runs the same `kernels` label to vet
-# the per-shard tape executors — by label, not suite name, so a suite added
-# to test_kernels under any name is covered.
+# tape/replay suites and the training-tail oracle, and the TSan leg runs the
+# same `kernels` label to vet the per-shard tape executors and the tail's
+# element-range passes — by label, not suite name, so a suite added to
+# test_kernels under any name is covered. The TSan leg also runs the
+# `golden` label: the training path's absolute bits at 1 and 4 threads.
 #
 # The perfbench leg compiles the benchmark driver against the product
 # libraries with the two commands perfbench/run.py runs. Tier-1 builds no
@@ -105,12 +107,14 @@ else
   require_build_dir build-tsan
   cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool test_parallel_determinism test_tensor \
-             test_kernels test_batcher test_served test_router >/dev/null
+             test_kernels test_golden test_batcher test_served test_router \
+    >/dev/null
   # RouterTest runs here too: router client connections share the served
   # binary's connection layer (reader/writer threads, ordered reply slots).
   (cd build-tsan && ctest --output-on-failure --no-tests=error \
     -R "ThreadPool|ParallelDeterminism|MicroBatcher|ServedTest|RouterTest" )
   (cd build-tsan && ctest --output-on-failure --no-tests=error -L kernels)
+  (cd build-tsan && ctest --output-on-failure --no-tests=error -L golden)
   LEGS_RUN+=(tsan)
 fi
 
@@ -214,9 +218,11 @@ else
   # parity, tanh's golden libm bits and its 8-lane-vs-scalar sweeps (sized to
   # finish in seconds here), the frozen-argmax conv gradient, fused-vs-eager
   # bitwise identity for every module with a fused path, bitwise
-  # tape-vs-eager training, and the compiled-replay suite (replay-vs-rebuild
+  # tape-vs-eager training, the compiled-replay suite (replay-vs-rebuild
   # bitwise crosses, fingerprint accounting, Clear() invalidation,
-  # steady-state zero-rebuild counters).
+  # steady-state zero-rebuild counters), and the training-tail oracle (the
+  # serial L2 graph, sink merge, clip and Adam against the product's
+  # element-range passes, plus the strided FloatSquare sweeps).
   # ASan vets the packed-panel pointer arithmetic and the arena recycling;
   # UBSan vets the same code for overflow/alignment UB.
   (cd build-asan && ctest --output-on-failure --no-tests=error -L kernels)
@@ -225,13 +231,14 @@ else
   cmake --build build-ubsan -j "$(nproc)" --target test_kernels >/dev/null
   (cd build-ubsan && ctest --output-on-failure --no-tests=error -L kernels)
   # Deflake guard (same pattern as the serving-socket guard): the tape/replay
-  # training tests and the thread-count crosses drive the data-parallel step
-  # on a parallel pool under -j, including a lone shard whose kernels fan out
-  # while its GradSink and tape scopes are active; rerun them five times so a
-  # reintroduced scheduling race or a replay-fallback flake fails the leg
-  # instead of landing.
+  # training tests, the thread-count crosses and the training-tail oracle
+  # drive the data-parallel step and its tail on a parallel pool under -j,
+  # including a lone shard whose kernels fan out while its GradSink and tape
+  # scopes are active; rerun them five times so a reintroduced scheduling
+  # race or a replay-fallback flake fails the leg instead of landing.
   (cd build && ctest --output-on-failure --no-tests=error \
-    -R "TapeTrainingTest|ParallelDeterminismTest" --repeat until-fail:5 -j)
+    -R "TapeTrainingTest|ParallelDeterminismTest|TailOracleTest" \
+    --repeat until-fail:5 -j)
   LEGS_RUN+=(kernels)
 fi
 
