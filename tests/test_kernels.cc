@@ -913,13 +913,12 @@ TEST_F(KernelReductionTest, DoubleScrapeIsBitwiseEqual) {
 
 // ---------------------------------------------------------------------------
 // Training-tail oracle, in the InferLLM CheckerHelper idiom: the work after
-// the shard join as it ran serially before it moved onto the pool — the
-// Square -> Sum -> Add L2 graph, the per-sink merge, the serial clip and the
-// scalar Adam — is the reference the product's tail (nn::L2Penalty,
-// GradSink::AccumulateInto, nn::ClipGradNorm, nn::Adam::Step) must match bit
-// for bit at 1 and 4 threads. Inputs mix +-0, subnormals, values whose
-// square underflows and large magnitudes, over sizes that straddle the
-// 16,384-element chunk and the 4-lane width.
+// the shard join done serially — the Square -> Sum -> Add L2 graph, the
+// per-sink merge, the serial clip and the scalar Adam — is the reference the
+// product's tail (nn::L2Penalty, GradSink::AccumulateInto, nn::ClipGradNorm,
+// nn::Adam::Step) must match bit for bit at 1 and 4 threads. Inputs mix
+// +-0, subnormals, values whose square underflows and large magnitudes, over
+// sizes that straddle the 16,384-element chunk and the 4-lane width.
 // ---------------------------------------------------------------------------
 
 namespace tail_reference {
@@ -1166,7 +1165,7 @@ TEST_F(TailOracleTest, ProductTailMatchesSerialReference) {
 
   for (bool with_l2 : {true, false}) {
     // The reference: each shard's buffers are its loss's plain gradients,
-    // then the serial tail exactly as it shipped.
+    // then the serial tail.
     ThreadPool::SetGlobalSize(1);
     TailRun want;
     {
