@@ -4,10 +4,12 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace rrre::text {
 
 using common::Rng;
+using tensor::kernels::StableSigmoid;
 using tensor::Tensor;
 
 SkipGramTrainer::SkipGramTrainer(SkipGramConfig config, int64_t vocab_size)
@@ -19,15 +21,6 @@ SkipGramTrainer::SkipGramTrainer(SkipGramConfig config, int64_t vocab_size)
 }
 
 namespace {
-
-float StableSigmoid(float x) {
-  if (x >= 0.0f) {
-    const float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  const float z = std::exp(x);
-  return z / (1.0f + z);
-}
 
 /// Unigram^0.75 negative-sampling table (word2vec convention).
 std::vector<int64_t> BuildNegativeTable(
