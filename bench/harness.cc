@@ -59,8 +59,8 @@ void RegisterBenchFlags(common::FlagParser& flags, double default_scale) {
   flags.AddInt("num_threads", 0,
                "thread pool size (0 = hardware concurrency, 1 = serial)");
   flags.AddInt("shard_size", 8,
-               "examples per data-parallel shard (0 = the whole batch is "
-               "one shard); must not be negative");
+               "examples per data-parallel shard; at least 1 (a value at "
+               "least the batch size trains the whole batch as one shard)");
   flags.AddBool("tape", true,
                 "train on the compiled batch tape (fused kernels + buffer "
                 "arena); --tape=false runs the eager reference path");

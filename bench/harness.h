@@ -39,7 +39,7 @@ struct BenchOptions {
   bool random_sampling = false;    ///< Random instead of time-based history.
   double lambda = 0.5;             ///< RRRE loss mix.
   int64_t num_threads = 0;         ///< Global pool size; 0 = hardware.
-  int64_t shard_size = 8;          ///< Data-parallel shard (0 = one shard).
+  int64_t shard_size = 8;          ///< Data-parallel shard; at least 1.
   bool use_tape = true;            ///< Compiled batch tape + fused kernels.
   bool tape_replay = true;         ///< Replay cached backward schedules.
 };

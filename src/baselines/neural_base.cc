@@ -20,7 +20,7 @@ NeuralRatingBaseline::NeuralRatingBaseline(CommonConfig config)
     : config_(config), rng_(config.seed) {
   RRRE_CHECK_GT(config_.epochs, 0);
   RRRE_CHECK_GT(config_.batch_size, 0);
-  RRRE_CHECK_GE(config_.shard_size, 0);
+  RRRE_CHECK_GE(config_.shard_size, 1);
 }
 
 void NeuralRatingBaseline::Fit(const data::ReviewDataset& train) {

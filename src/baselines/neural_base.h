@@ -36,9 +36,9 @@ class NeuralRatingBaseline : public RatingPredictor {
     int64_t vocab_min_count = 2;
     bool pretrain_word_vectors = true;
     int64_t pretrain_epochs = 2;
-    /// Examples per data-parallel shard; 0 = the whole batch is one shard.
-    /// Must not be negative. Same contract as RrreConfig::shard_size.
-    int64_t shard_size = 0;
+    /// Examples per data-parallel shard; at least 1. Same contract as
+    /// RrreConfig::shard_size.
+    int64_t shard_size = 8;
     /// Train on a compiled batch tape with fused kernels; bitwise identical
     /// to the eager path. Same contract as RrreConfig::use_tape.
     bool use_tape = true;

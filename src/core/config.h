@@ -36,14 +36,14 @@ struct RrreConfig {
   double dropout = 0.0;
   double grad_clip = 5.0;
   uint64_t seed = 42;
-  /// Examples per data-parallel shard; must not be negative. Each minibatch
-  /// is partitioned into ceil(B / shard_size) shards (0 = one shard of the
-  /// whole batch, drawing from the trainer's RNG itself) that build
-  /// features, run forward and run backward concurrently on the global
-  /// thread pool; shard gradients are merged in shard order before the
-  /// single optimizer step, so results do not depend on the number of
-  /// threads (see nn::ShardedStep and DESIGN.md, "Parallel execution").
-  int64_t shard_size = 0;
+  /// Examples per data-parallel shard; at least 1. Each minibatch is
+  /// partitioned into ceil(B / shard_size) shards that build features, run
+  /// forward and run backward concurrently on the global thread pool; shard
+  /// gradients are merged in shard order before the single optimizer step,
+  /// so results do not depend on the number of threads (see
+  /// nn::ShardedStep and DESIGN.md, "Parallel execution"). The shard size
+  /// changes only the float summation order and the shards' RNG streams.
+  int64_t shard_size = 8;
   /// Run each training step on a compiled batch tape: fused gate/attention
   /// kernels plus a per-step arena that recycles every graph-node buffer
   /// after the first batch (see DESIGN.md, "Compiled batch tape & blocked

@@ -30,7 +30,7 @@ RrreTrainer::RrreTrainer(RrreConfig config)
     : config_(config), rng_(config.seed) {
   RRRE_CHECK_GT(config_.batch_size, 0);
   RRRE_CHECK_GT(config_.epochs, 0);
-  RRRE_CHECK_GE(config_.shard_size, 0);
+  RRRE_CHECK_GE(config_.shard_size, 1);
   RRRE_CHECK_GE(config_.lambda, 0.0);
   RRRE_CHECK_LE(config_.lambda, 1.0);
 }
@@ -268,6 +268,12 @@ RrreTrainer::EvalResult RrreTrainer::Evaluate(const data::ReviewDataset& eval) {
 RrreTrainer::Predictions RrreTrainer::PredictPairs(
     const std::vector<std::pair<int64_t, int64_t>>& pairs) {
   RRRE_CHECK(fitted()) << "call Fit() first";
+  return PredictWith(*features_, pairs);
+}
+
+RrreTrainer::Predictions RrreTrainer::PredictWith(
+    const FeatureBuilder& features,
+    const std::vector<std::pair<int64_t, int64_t>>& pairs) {
   Predictions out;
   const int64_t n = static_cast<int64_t>(pairs.size());
   out.ratings.resize(static_cast<size_t>(n));
@@ -287,7 +293,7 @@ RrreTrainer::Predictions RrreTrainer::PredictPairs(
       std::vector<std::pair<int64_t, int64_t>> chunk(pairs.begin() + start,
                                                      pairs.begin() + end);
       RrreModel::Batch batch =
-          features_->Build(chunk, chunk_rngs[static_cast<size_t>(c)]);
+          features.Build(chunk, chunk_rngs[static_cast<size_t>(c)]);
       RrreModel::Output fwd =
           model_->Forward(batch, /*training=*/false, nullptr);
       for (int64_t i = 0; i < batch.batch_size; ++i) {
@@ -301,14 +307,23 @@ RrreTrainer::Predictions RrreTrainer::PredictPairs(
   return out;
 }
 
-RrreTrainer::Predictions RrreTrainer::PredictDataset(
+namespace {
+
+std::vector<std::pair<int64_t, int64_t>> ReviewPairs(
     const data::ReviewDataset& reviews) {
   std::vector<std::pair<int64_t, int64_t>> pairs;
   pairs.reserve(static_cast<size_t>(reviews.size()));
   for (const data::Review& r : reviews.reviews()) {
     pairs.emplace_back(r.user, r.item);
   }
-  return PredictPairs(pairs);
+  return pairs;
+}
+
+}  // namespace
+
+RrreTrainer::Predictions RrreTrainer::PredictDataset(
+    const data::ReviewDataset& reviews) {
+  return PredictPairs(ReviewPairs(reviews));
 }
 
 RrreTrainer::Predictions RrreTrainer::PredictDatasetTransductive(
@@ -316,38 +331,8 @@ RrreTrainer::Predictions RrreTrainer::PredictDatasetTransductive(
   RRRE_CHECK(fitted()) << "call Fit() first";
   const data::ReviewDataset merged =
       data::ReviewDataset::Merge(*train_, reviews);
-  FeatureBuilder merged_features(config_, &merged, vocab_.get());
-  Predictions out;
-  const int64_t n = reviews.size();
-  out.ratings.resize(static_cast<size_t>(n));
-  out.reliabilities.resize(static_cast<size_t>(n));
-  const int64_t bs = config_.batch_size;
-  const int64_t num_chunks = (n + bs - 1) / bs;
-  std::vector<Rng> chunk_rngs;
-  chunk_rngs.reserve(static_cast<size_t>(num_chunks));
-  for (int64_t c = 0; c < num_chunks; ++c) chunk_rngs.push_back(rng_.Fork());
-  common::ParallelFor(0, num_chunks, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t c = lo; c < hi; ++c) {
-      const int64_t start = c * bs;
-      const int64_t end = std::min(n, start + bs);
-      std::vector<std::pair<int64_t, int64_t>> chunk;
-      for (int64_t i = start; i < end; ++i) {
-        const data::Review& r = reviews.review(i);
-        chunk.emplace_back(r.user, r.item);
-      }
-      RrreModel::Batch batch =
-          merged_features.Build(chunk, chunk_rngs[static_cast<size_t>(c)]);
-      RrreModel::Output fwd =
-          model_->Forward(batch, /*training=*/false, nullptr);
-      for (int64_t i = 0; i < batch.batch_size; ++i) {
-        out.ratings[static_cast<size_t>(start + i)] =
-            fwd.rating.at(i, 0) + rating_offset_;
-        out.reliabilities[static_cast<size_t>(start + i)] =
-            fwd.reliability.at(i, 1);
-      }
-    }
-  });
-  return out;
+  const FeatureBuilder merged_features(config_, &merged, vocab_.get());
+  return PredictWith(merged_features, ReviewPairs(reviews));
 }
 
 common::Status RrreTrainer::Save(const std::string& prefix) const {

@@ -176,6 +176,13 @@ class RrreTrainer {
   /// already-initialized model/optimizer/features.
   void TrainEpochs(int64_t first_epoch, const EpochCallback& callback);
 
+  /// Scores `pairs` in batch_size chunks with histories drawn from
+  /// `features`. One rng per chunk is forked from rng_ serially, in chunk
+  /// order, before the chunks run concurrently.
+  Predictions PredictWith(
+      const FeatureBuilder& features,
+      const std::vector<std::pair<int64_t, int64_t>>& pairs);
+
   /// Scores telemetry_.eval with the current parameters and appends one
   /// telemetry record for `stats`; RNG state is preserved across the call.
   void EmitEpochTelemetry(const EpochStats& stats, int64_t examples,

@@ -4,6 +4,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "common/logging.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
@@ -17,10 +18,11 @@ using tensor::GradSink;
 using tensor::Tensor;
 
 ShardedStep::ShardedStep(int64_t shard_size, bool use_tape, bool tape_replay)
-    : shard_size_(shard_size), use_tape_(use_tape), tape_replay_(tape_replay) {}
+    : shard_size_(shard_size), use_tape_(use_tape), tape_replay_(tape_replay) {
+  RRRE_CHECK_GE(shard_size_, 1);
+}
 
 int64_t ShardedStep::NumShards(int64_t batch_examples) const {
-  if (shard_size_ == 0) return 1;
   return (batch_examples + shard_size_ - 1) / shard_size_;
 }
 
@@ -29,14 +31,12 @@ std::vector<double> ShardedStep::Run(int64_t batch_examples,
                                      Rng& rng, const ShardLoss& shard_loss,
                                      const ParamLoss& param_loss) {
   const int64_t bsz = batch_examples;
-  const int64_t ssz = shard_size_ == 0 ? bsz : shard_size_;
   const int64_t num_shards = NumShards(bsz);
   while (use_tape_ && static_cast<int64_t>(tapes_.size()) < num_shards) {
     tapes_.push_back(std::make_unique<BatchTape>());
     tapes_.back()->SetReplayEnabled(tape_replay_);
   }
-  std::optional<Rng> batch_rng;
-  if (shard_size_ > 0) batch_rng.emplace(rng.Fork());
+  const Rng batch_rng = rng.Fork();
   std::vector<GradSink> sinks;
   sinks.reserve(static_cast<size_t>(num_shards));
   for (int64_t s = 0; s < num_shards; ++s) sinks.emplace_back(leaves);
@@ -47,8 +47,8 @@ std::vector<double> ShardedStep::Run(int64_t batch_examples,
     common::Timer timer;
     Shard shard;
     shard.index = s;
-    shard.begin = s * ssz;
-    shard.end = std::min(bsz, shard.begin + ssz);
+    shard.begin = s * shard_size_;
+    shard.end = std::min(bsz, shard.begin + shard_size_);
     shard.frac = static_cast<float>(shard.end - shard.begin) /
                  static_cast<float>(bsz);
     std::optional<BatchTape::Scope> tape_scope;
@@ -58,11 +58,8 @@ std::vector<double> ShardedStep::Run(int64_t batch_examples,
                       static_cast<uint64_t>(shard.end - shard.begin));
       tape_scope.emplace(tape);
     }
-    std::optional<Rng> shard_rng;
-    if (batch_rng.has_value()) {
-      shard_rng.emplace(batch_rng->Fork(static_cast<uint64_t>(s)));
-    }
-    Tensor loss = shard_loss(shard, shard_rng.has_value() ? *shard_rng : rng);
+    Rng shard_rng = batch_rng.Fork(static_cast<uint64_t>(s));
+    Tensor loss = shard_loss(shard, shard_rng);
     GradSink::Scope sink_scope(&sinks[static_cast<size_t>(s)]);
     loss.Backward();
     seconds[static_cast<size_t>(s)] = timer.ElapsedSeconds();

@@ -17,24 +17,23 @@ namespace rrre::nn {
 /// RrreTrainer and the neural rating baselines; the caller then clips and
 /// steps its optimizer.
 ///
-/// Run() splits a batch of B examples into shards of `shard_size` examples
-/// (0 = one shard of B). Each shard builds its loss through the caller's
-/// callback and backpropagates it into a private GradSink, the shards
-/// running concurrently on the global pool. Run() then zeroes the real grad
-/// of every leaf a shard touched, backpropagates the optional parameter-only
-/// loss (RRRE's L2 term) into those grads and adds the sinks in shard order,
-/// over element ranges on the pool.
+/// Run() splits a batch of B examples into shards of `shard_size` examples,
+/// the last one possibly shorter. Each shard builds its loss through the
+/// caller's callback and backpropagates it into a private GradSink, the
+/// shards running concurrently on the global pool. Run() then zeroes the
+/// real grad of every leaf a shard touched, backpropagates the optional
+/// parameter-only loss (RRRE's L2 term) into those grads and adds the sinks
+/// in shard order, over element ranges on the pool.
 /// A shard weights its loss by frac = b_s / B, so the merged gradient is the
 /// whole batch's objective split exactly.
 ///
 /// Results do not depend on the thread count:
-///  - Random draws. At shard_size 0 the one shard draws from the caller's
-///    rng itself. At shard_size > 0 Run() forks the caller's rng once per
-///    batch and shard s draws from that fork's Fork(s).
-///  - A lone shard (shard_size 0, or shard_size >= B) runs on the calling
-///    thread, not inside ParallelFor, so its kernels still fan out to the
-///    pool (a nested ParallelFor runs inline). The kernels' chunk partition
-///    does not depend on the pool, so either way gives the same bits.
+///  - Random draws. Run() forks the caller's rng once per batch and shard s
+///    draws from that fork's Fork(s).
+///  - A lone shard (shard_size >= B) runs on the calling thread, not inside
+///    ParallelFor, so its kernels still fan out to the pool (a nested
+///    ParallelFor runs inline). The kernels' chunk partition does not depend
+///    on the pool, so either way gives the same bits.
 ///  - Sinks are merged in shard order.
 ///
 /// With the tape on, shard s records and replays on tape s under the key
@@ -60,7 +59,7 @@ class ShardedStep {
   /// Builds a loss over the parameters alone.
   using ParamLoss = std::function<tensor::Tensor()>;
 
-  /// `shard_size` >= 0; `use_tape` and `tape_replay` as in RrreConfig.
+  /// `shard_size` >= 1; `use_tape` and `tape_replay` as in RrreConfig.
   ShardedStep(int64_t shard_size, bool use_tape, bool tape_replay);
 
   int64_t NumShards(int64_t batch_examples) const;

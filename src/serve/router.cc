@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -537,90 +538,83 @@ class Router::Session {
   }
 
   /// Rolling RELOAD across the fleet behind the exclusive barrier: reload
-  /// one shard at a time, then hold the barrier until every shard reports
-  /// the same params fingerprint. Shards that never converge (their reload
-  /// failed and they kept the old snapshot) are quarantined, so scoring
-  /// resumes against a fleet that provably serves one parameter version.
+  /// every live shard one at a time, quarantined ones included, so a shard
+  /// that missed an earlier roll catches up. Then read one STATS from each:
+  /// a shard answers a reload only after it serves the new fingerprint, so
+  /// that read is final. The fleet takes the fingerprint of the first shard
+  /// whose reload succeeded; shards that serve another (their reload failed
+  /// and they kept the old snapshot) or do not answer are quarantined and
+  /// the rest un-quarantined, so scoring resumes against a fleet that
+  /// provably serves one parameter version.
   std::string HandleReload() {
     std::unique_lock<std::shared_mutex> barrier(router_->reload_mu_);
-    const std::vector<int> serving = router_->ServingBackends();
-    if (serving.empty()) {
-      return FormatError("reload", "no serving backends");
+    std::vector<int> live;
+    for (size_t k = 0; k < router_->backends_.size(); ++k) {
+      if (router_->backends_[k]->alive.load()) {
+        live.push_back(static_cast<int>(k));
+      }
+    }
+    if (live.empty()) {
+      return FormatError("reload", "no live backends");
     }
     router_->reload_barriers_.fetch_add(1);
     Inc(router_->m_reload_barriers_);
 
-    int64_t reloaded = 0;
+    std::vector<bool> reloaded;
     Status first_error = Status::Ok();
-    for (const int k : serving) {
+    for (const int k : live) {
       const Status status = ReloadBackend(k);
-      if (status.ok()) {
-        ++reloaded;
-      } else {
+      reloaded.push_back(status.ok());
+      if (!status.ok()) {
         if (first_error.ok()) first_error = status;
         RRRE_LOG_WARNING << "rolling reload: backend " << k
                          << " failed: " << status.ToString();
       }
     }
-    if (reloaded == 0) {
+    if (std::count(reloaded.begin(), reloaded.end(), true) == 0) {
       return FormatError("reload", first_error.ToString());
     }
 
-    // Fingerprint barrier: poll until every serving shard agrees. The
-    // target is whatever the first successfully reloaded shard now serves.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(
-                              router_->options_.reload_barrier_timeout_ms);
     uint64_t target = 0;
-    int64_t min_generation = 0;
-    std::vector<uint64_t> fps(serving.size(), 0);
-    bool converged = false;
-    while (!converged && std::chrono::steady_clock::now() < deadline) {
-      target = 0;
-      min_generation = 0;
-      converged = true;
-      for (size_t i = 0; i < serving.size(); ++i) {
-        auto stats = QueryStats(Link(serving[i]));
-        if (!stats.ok()) {
-          converged = false;
-          continue;
-        }
-        fps[i] = stats.value().fingerprint;
-        if (target == 0) {
-          target = fps[i];
-          min_generation = stats.value().generation;
-        } else {
-          min_generation = std::min(min_generation, stats.value().generation);
-        }
-        if (fps[i] != target) converged = false;
-      }
-      if (!converged) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::vector<Result<StatsLine>> stats;
+    for (size_t i = 0; i < live.size(); ++i) {
+      stats.push_back(QueryStats(Link(live[i])));
+      if (target == 0 && reloaded[i] && stats.back().ok()) {
+        target = stats.back().value().fingerprint;
       }
     }
-
     // Quarantine divergers; publish the new fleet fingerprint.
-    for (size_t i = 0; i < serving.size(); ++i) {
-      auto& backend = *router_->backends_[static_cast<size_t>(serving[i])];
-      backend.fingerprint.store(fps[i]);
-      backend.quarantined.store(fps[i] != target);
-      if (fps[i] != target) {
-        RRRE_LOG_WARNING << "rolling reload: backend " << serving[i]
-                         << " diverged (fingerprint " << fps[i]
-                         << " != " << target << "); quarantined";
+    int64_t quarantined = 0;
+    int64_t min_generation = std::numeric_limits<int64_t>::max();
+    for (size_t i = 0; i < live.size(); ++i) {
+      auto& backend = *router_->backends_[static_cast<size_t>(live[i])];
+      const uint64_t fp = stats[i].ok() ? stats[i].value().fingerprint : 0;
+      const bool diverged = !stats[i].ok() || fp != target;
+      backend.fingerprint.store(fp);
+      backend.quarantined.store(diverged);
+      if (diverged) {
+        ++quarantined;
+        RRRE_LOG_WARNING << "rolling reload: backend " << live[i]
+                         << " diverged (fingerprint " << fp << " != "
+                         << target << "); quarantined";
+      } else {
+        min_generation =
+            std::min(min_generation, stats[i].value().generation);
       }
     }
     router_->fleet_fingerprint_.store(target);
     if (router_->m_quarantined_ != nullptr) {
-      int64_t quarantined = 0;
+      int64_t total = 0;
       for (const auto& b : router_->backends_) {
-        quarantined += b->quarantined.load() ? 1 : 0;
+        total += b->quarantined.load() ? 1 : 0;
       }
-      router_->m_quarantined_->Set(quarantined);
+      router_->m_quarantined_->Set(total);
     }
-    if (!converged) {
-      return FormatError("reload",
-                         "fleet did not converge on one fingerprint");
+    if (quarantined > 0) {
+      return FormatError(
+          "reload", common::StrFormat("%lld of %zu live backends quarantined",
+                                      static_cast<long long>(quarantined),
+                                      live.size()));
     }
     return FormatReloaded(min_generation);
   }

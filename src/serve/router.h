@@ -72,10 +72,6 @@ struct RouterOptions {
   int health_period_ms = 200;
   /// Ring points per backend.
   int virtual_nodes = 64;
-  /// Deadline for the rolling-reload fingerprint barrier: all serving
-  /// backends must converge on one fingerprint within this long or the
-  /// stragglers are quarantined.
-  int reload_barrier_timeout_ms = 30000;
   /// When true the router owns a MetricsRegistry and answers METRICS with
   /// its own counters followed by every serving backend's exposition,
   /// relabeled with a per-shard label.

@@ -14,6 +14,7 @@
 #include "baselines/rrre_adapter.h"
 #include "baselines/speagle.h"
 #include "common/rng.h"
+#include "core/config.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 
@@ -349,9 +350,19 @@ TEST(NeuralBaselineTest, PredictBeforeFitIsFatal) {
 }
 
 TEST(NeuralBaselineTest, NegativeShardSizeIsFatal) {
-  DeepCoNN::Config config;
-  config.common.shard_size = -4;
-  EXPECT_DEATH({ DeepCoNN model(config); }, "shard_size");
+  // Every shard_size below 1 is refused, 0 included.
+  for (const int64_t shard : {int64_t{-4}, int64_t{0}}) {
+    DeepCoNN::Config config;
+    config.common.shard_size = shard;
+    EXPECT_DEATH({ DeepCoNN model(config); }, "shard_size") << shard;
+  }
+}
+
+TEST(NeuralBaselineTest, ShippedShardSizeIsTheMeasuredOne) {
+  // The benchmark and the bench harness train at shard_size 8; the shipped
+  // trainers default to the same step.
+  EXPECT_EQ(core::RrreConfig().shard_size, 8);
+  EXPECT_EQ(NeuralRatingBaseline::CommonConfig().shard_size, 8);
 }
 
 // ---------------------------------------------------------------------------

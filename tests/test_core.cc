@@ -350,25 +350,37 @@ TEST(TrainerTest, LearnsReliabilitySignalOnTrain) {
 }
 
 TEST(TrainerTest, GeneralizesToHeldOutReviews) {
-  RrreConfig config = TinyConfig();
-  config.epochs = 5;
+  // The bounds hold for the median over five trainer seeds (42 and the next
+  // four of a 32-seed sweep): over that sweep one seed's held-out AUC has a
+  // standard deviation of about 0.02, and 2 of the 32 seeds read 0.65 or
+  // below at every shard size.
   Rng rng(11);
   Rng gen_rng(13);
   data::ReviewDataset corpus = data::GenerateSyntheticDataset(
       data::YelpChiProfile(0.12), gen_rng);
   auto [train, test] = corpus.Split(0.7, rng);
-  RrreTrainer trainer(config);
-  trainer.Fit(train);
-  auto preds = trainer.PredictDataset(test);
   std::vector<int> labels;
   std::vector<double> targets;
   for (const auto& r : test.reviews()) {
     labels.push_back(r.is_benign());
     targets.push_back(r.rating);
   }
-  EXPECT_GT(eval::Auc(preds.reliabilities, labels), 0.65) << "test AUC";
-  EXPECT_LT(eval::BiasedRmse(preds.ratings, targets, labels), 1.6)
-      << "test bRMSE";
+  std::vector<double> aucs;
+  std::vector<double> brmses;
+  for (const uint64_t seed : {42, 1001, 1002, 1003, 1004}) {
+    RrreConfig config = TinyConfig();
+    config.epochs = 5;
+    config.seed = seed;
+    RrreTrainer trainer(config);
+    trainer.Fit(train);
+    auto preds = trainer.PredictDataset(test);
+    aucs.push_back(eval::Auc(preds.reliabilities, labels));
+    brmses.push_back(eval::BiasedRmse(preds.ratings, targets, labels));
+  }
+  std::sort(aucs.begin(), aucs.end());
+  std::sort(brmses.begin(), brmses.end());
+  EXPECT_GT(aucs[2], 0.65) << "median test AUC";
+  EXPECT_LT(brmses[2], 1.6) << "median test bRMSE";
 }
 
 TEST(TrainerTest, PredictionsAreFiniteAndPlausible) {
@@ -418,9 +430,12 @@ TEST(TrainerTest, PredictBeforeFitIsFatal) {
 }
 
 TEST(TrainerTest, NegativeShardSizeIsFatal) {
-  RrreConfig config = TinyConfig();
-  config.shard_size = -4;
-  EXPECT_DEATH({ RrreTrainer trainer(config); }, "shard_size");
+  // Every shard_size below 1 is refused, 0 included.
+  for (const int64_t shard : {int64_t{-4}, int64_t{0}}) {
+    RrreConfig config = TinyConfig();
+    config.shard_size = shard;
+    EXPECT_DEATH({ RrreTrainer trainer(config); }, "shard_size") << shard;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1778,9 +1778,9 @@ FitResult RunFit(const core::RrreConfig& config, int threads,
 TEST_F(TapeTrainingTest, TapeMatchesEagerBitwise) {
   // The headline claim behind `--tape` defaulting on: taped + fused training
   // reaches the exact bits of the eager path — losses, every parameter, and
-  // downstream predictions — on both the whole-batch and sharded paths, for
-  // serial and parallel pools.
-  for (int64_t shard : {int64_t{0}, int64_t{4}}) {
+  // downstream predictions — with one lone shard of the whole 16-example
+  // batch and with shards of 4, for serial and parallel pools.
+  for (int64_t shard : {int64_t{16}, int64_t{4}}) {
     core::RrreConfig eager_config = SmallConfig();
     eager_config.shard_size = shard;
     eager_config.use_tape = false;
@@ -1804,12 +1804,12 @@ TEST_F(TapeTrainingTest, TapeMatchesEagerBitwise) {
 TEST_F(TapeTrainingTest, TapeMatchesEagerBitwiseAcrossGemmPanels) {
   // The crosses above train 16 examples x s_i 4 = 64 review slots a step,
   // so no review-encoder weight-gradient sum spans two kKc-deep GEMM
-  // panels. A 40-example whole batch sends 160 item slots through each
-  // LstmSequence node: its per-step dW_ih / dW_hh GEMMs must group every
-  // sum by panel exactly as the eager per-step MatMuls do.
+  // panels. A 40-example batch trained as one shard sends 160 item slots
+  // through each LstmSequence node: its per-step dW_ih / dW_hh GEMMs must
+  // group every sum by panel exactly as the eager per-step MatMuls do.
   core::RrreConfig eager_config = SmallConfig();
   eager_config.batch_size = 40;
-  eager_config.shard_size = 0;
+  eager_config.shard_size = eager_config.batch_size;
   eager_config.use_tape = false;
   ASSERT_GT(eager_config.batch_size * eager_config.s_i, tensor::kernels::kKc);
   core::RrreConfig taped_config = eager_config;
@@ -1844,6 +1844,7 @@ TEST_F(TapeTrainingTest, ArenaStopsAllocatingAfterWarmup) {
   data::ReviewDataset corpus = SmallCorpus();
   core::RrreConfig config = SmallConfig();
   config.epochs = 4;  // 30 examples / batch 16 -> 2 steps per epoch, 8 total
+  config.shard_size = config.batch_size;  // One tape.
   config.use_tape = true;
   core::RrreTrainer trainer(config);
   trainer.Fit(corpus);
@@ -1941,9 +1942,9 @@ TEST_F(TapeTrainingTest, KillThenResumeThroughTapeIsBitwise) {
 
 TEST_F(TapeTrainingTest, ReplayMatchesRebuildEveryStepBitwise) {
   // --tape_replay=false is the escape hatch back to PR 9's rebuild-every-step
-  // tape; flipping it must never change a bit, for whole-batch and sharded
-  // training on serial and parallel pools.
-  for (int64_t shard : {int64_t{0}, int64_t{4}}) {
+  // tape; flipping it must never change a bit, for one lone shard of the
+  // whole batch and for shards of 4, on serial and parallel pools.
+  for (int64_t shard : {int64_t{16}, int64_t{4}}) {
     core::RrreConfig rebuild_config = SmallConfig();
     rebuild_config.shard_size = shard;
     rebuild_config.use_tape = true;
@@ -1981,7 +1982,7 @@ TEST_F(TapeTrainingTest, ReplaySteadyStateDoesNoGraphWork) {
     trainer.Fit(corpus);
     return trainer.TapeStats();
   };
-  for (int64_t shard : {int64_t{0}, int64_t{4}}) {
+  for (int64_t shard : {int64_t{16}, int64_t{4}}) {
     const tensor::BatchTape::Stats warm = run(4, shard);
     const tensor::BatchTape::Stats longer = run(8, shard);
     EXPECT_EQ(warm.replay_fallbacks, 0) << "shard=" << shard;
@@ -2003,6 +2004,7 @@ TEST_F(TapeTrainingTest, WholeBatchReplayCountsEveryNonRecordingStep) {
   data::ReviewDataset corpus = SmallCorpus();
   core::RrreConfig config = SmallConfig();
   config.epochs = 4;  // 8 steps: keys 16 and 14, each recorded exactly once
+  config.shard_size = config.batch_size;  // One tape.
   config.use_tape = true;
   core::RrreTrainer trainer(config);
   trainer.Fit(corpus);
@@ -2019,7 +2021,7 @@ TEST_F(TapeTrainingTest, RefitRecordsFreshGraphs) {
   // start fresh tapes and count only its own steps.
   ThreadPool::SetGlobalSize(2);
   data::ReviewDataset corpus = SmallCorpus();
-  for (int64_t shard : {int64_t{0}, int64_t{8}}) {
+  for (int64_t shard : {int64_t{16}, int64_t{8}}) {
     core::RrreConfig config = SmallConfig();
     config.shard_size = shard;
     config.use_tape = true;
@@ -2071,6 +2073,7 @@ TEST_F(TapeTrainingTest, StatsCountTailBatchFingerprintImmediately) {
   data::ReviewDataset corpus = SmallCorpus();
   core::RrreConfig config = SmallConfig();
   config.epochs = 1;  // steps: 16 examples, then the 14-example tail — stop
+  config.shard_size = config.batch_size;  // One tape.
   config.use_tape = true;
   core::RrreTrainer trainer(config);
   trainer.Fit(corpus);

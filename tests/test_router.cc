@@ -27,6 +27,7 @@
 #include "common/rng.h"
 #include "common/socket.h"
 #include "core/scorer.h"
+#include "core/tower_store.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "serve/loadgen.h"
@@ -258,6 +259,67 @@ class RouterTest : public ::testing::Test {
       lines.push_back(std::move(line));
     }
     return lines;
+  }
+
+  /// Rolls a two-shard fleet from checkpoint A to B while shard `failed`'s
+  /// reload fails at the serve.reload seam (the router reloads shards in
+  /// index order). The roll must answer at once, quarantine exactly that
+  /// shard and serve B from the other; the next RELOAD brings it back.
+  static void RollWithOneFailedReload(int failed) {
+    const std::string prefix = ::testing::TempDir() + "/router_partial_ckpt_" +
+                               std::to_string(::getpid());
+    ASSERT_TRUE(ref_trainer_a_->Save(prefix).ok());
+    std::vector<std::unique_ptr<Server>> fleet;
+    fleet.push_back(StartBackend(prefix));
+    fleet.push_back(StartBackend(prefix));
+    auto router = StartRouter(RoutedOptions(fleet));
+    ASSERT_TRUE(trainer_b_->Save(prefix).ok());
+    const auto fp_b = core::CheckpointParamsFingerprint(prefix);
+    ASSERT_TRUE(fp_b.ok());
+    core::RrreTrainer loaded_b(TinyConfig());
+    ASSERT_TRUE(loaded_b.Load(prefix).ok());
+    core::BatchScorer scorer_b(&loaded_b);
+
+    common::failpoint::Config once;
+    once.after = failed;
+    once.count = 1;
+    common::failpoint::Arm("serve.reload", once);
+    Client client(router->port());
+    const auto start = std::chrono::steady_clock::now();
+    client.Send("RELOAD\n");
+    const std::string line = client.MustReadLine();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(line.find("!ERR\treload\t"), 0u) << line;
+    EXPECT_LT(seconds, 5.0) << "the roll waited on a shard that cannot load";
+    EXPECT_EQ(common::failpoint::FireCount("serve.reload"), 1);
+    EXPECT_FALSE(router->BackendServing(failed));
+    EXPECT_TRUE(router->BackendServing(1 - failed));
+    EXPECT_EQ(router->stats().quarantined, 1);
+    EXPECT_EQ(router->fleet_fingerprint(), fp_b.value());
+    // Users homed on the quarantined shard fail over: every pair scores B.
+    for (int64_t user = 0; user < 6; ++user) {
+      const auto preds = scorer_b.Score({{user, 1}});
+      std::string expected =
+          FormatScoreLine(user, 1, preds.ratings[0], preds.reliabilities[0]);
+      expected.pop_back();
+      client.Send(std::to_string(user) + "\t1\n");
+      EXPECT_EQ(client.MustReadLine(), expected) << "user " << user;
+    }
+
+    // The failpoint is spent: the next roll reloads the quarantined shard.
+    client.Send("RELOAD\n");
+    const std::string again = client.MustReadLine();
+    EXPECT_EQ(again.find("#reloaded\t"), 0u) << again;
+    EXPECT_EQ(router->stats().quarantined, 0);
+    EXPECT_EQ(fleet[static_cast<size_t>(failed)]->stats().batcher.reloads, 1);
+    EXPECT_EQ(router->fleet_fingerprint(), fp_b.value());
+    router->Shutdown();
+    for (const char* suffix :
+         {".model", ".vocab", ".train.tsv", ".meta", ".optimizer"}) {
+      std::remove((prefix + suffix).c_str());
+    }
   }
 
   static data::ReviewDataset* corpus_;
@@ -554,6 +616,14 @@ TEST_F(RouterTest, UncertainReloadDeliveryIsVerifiedNeverResent) {
        {".model", ".vocab", ".train.tsv", ".meta", ".optimizer"}) {
     std::remove((prefix + suffix).c_str());
   }
+}
+
+TEST_F(RouterTest, FailedReloadOnFirstShardQuarantinesOnlyIt) {
+  RollWithOneFailedReload(0);
+}
+
+TEST_F(RouterTest, FailedReloadOnSecondShardQuarantinesOnlyIt) {
+  RollWithOneFailedReload(1);
 }
 
 TEST_F(RouterTest, SideChannelDivergenceIsQuarantined) {

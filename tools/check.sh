@@ -177,7 +177,10 @@ else
   # The router label covers consistent-hash routing, replica failover on
   # every router.backend.* failpoint seam (never-sent, maybe-delivered,
   # stall, torn response), catalog fan-out through a killed shard, the
-  # rolling-reload fingerprint barrier, and side-channel quarantine.
+  # rolling-reload fingerprint barrier, the partial-failure roll (one
+  # shard's reload fails: the router answers at once, quarantines exactly
+  # that shard, and the next roll brings it back), and side-channel
+  # quarantine.
   # Failpoints are armed at runtime, so the ASan binaries exercise the
   # injected faults directly.
   (cd build-asan && ctest --output-on-failure --no-tests=error -L router)

@@ -4,7 +4,7 @@
 //               [--backend_timeout_ms=5000] [--retries=2]
 //               [--backoff_us=500] [--health_ms=200] [--vnodes=64]
 //               [--max_connections=128] [--read_timeout_ms=0]
-//               [--reload_barrier_ms=30000] [--metrics=true]
+//               [--metrics=true]
 //
 // Clients speak the exact rrre_served line protocol against the router; pair
 // requests are consistent-hashed to a home shard (failing over to replicas
@@ -85,8 +85,6 @@ int main(int argc, char** argv) {
   flags.AddInt("max_connections", 128, "concurrent client connection limit");
   flags.AddInt("read_timeout_ms", 0,
                "drop client connections idle past this deadline (0 = none)");
-  flags.AddInt("reload_barrier_ms", 30000,
-               "deadline for the rolling-reload fingerprint barrier");
   flags.AddBool("metrics", true,
                 "maintain the router metrics registry and aggregate shard "
                 "expositions under METRICS");
@@ -112,8 +110,6 @@ int main(int argc, char** argv) {
   options.virtual_nodes = static_cast<int>(flags.GetInt("vnodes"));
   options.max_connections = flags.GetInt("max_connections");
   options.read_timeout_ms = static_cast<int>(flags.GetInt("read_timeout_ms"));
-  options.reload_barrier_timeout_ms =
-      static_cast<int>(flags.GetInt("reload_barrier_ms"));
   options.enable_metrics = flags.GetBool("metrics");
 
   common::InstallServeSignalHandlers();
