@@ -24,7 +24,6 @@
 #include "obs/trace.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "tensor/tape.h"
 
 namespace {
 
@@ -124,35 +123,18 @@ void BM_Softmax(benchmark::State& state) {
 }
 BENCHMARK(BM_Softmax);
 
-void BM_LstmCellStep(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  Rng rng(3);
-  rrre::nn::LstmCell cell(16, 16, rng);
-  Tensor x = Tensor::Randn({batch, 16}, rng);
-  auto st = cell.InitialState(batch);
-  for (auto _ : state) {
-    auto next = cell.Step(x, st);
-    benchmark::DoNotOptimize(next.h.data());
-  }
-}
-BENCHMARK(BM_LstmCellStep)->Arg(32)->Arg(384);
-
 void BM_BiLstmEncodeReview(benchmark::State& state) {
   // One RRRE batch worth of reviews: 384 slots x 16 tokens x 16 dims, as
-  // the time-major [16*384, 16] input ReviewEncoder builds. Arg 0 is the
-  // eager per-step chain; arg 1 the fused graph training runs with --tape,
-  // one LstmSequence node per direction, bitwise identical output.
-  const bool fused = state.range(0) != 0;
+  // the time-major [16*384, 16] input ReviewEncoder builds; one
+  // LstmSequence node per direction, as training runs it.
   Rng rng(4);
   rrre::nn::BiLstmEncoder enc(16, 16, rng);
   Tensor x = Tensor::Randn({16 * 384, 16}, rng);
-  rrre::tensor::SetFusionEnabled(fused);
   for (auto _ : state) {
     benchmark::DoNotOptimize(enc.Encode(x, 16).data());
   }
-  rrre::tensor::SetFusionEnabled(false);
 }
-BENCHMARK(BM_BiLstmEncodeReview)->Arg(0)->Arg(1);
+BENCHMARK(BM_BiLstmEncodeReview);
 
 void BM_Tanh(benchmark::State& state) {
   // tanh over 4096 gate pre-activations, uniform on [-4, 4]: arg 0 is libm

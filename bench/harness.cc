@@ -61,12 +61,6 @@ void RegisterBenchFlags(common::FlagParser& flags, double default_scale) {
   flags.AddInt("shard_size", 8,
                "examples per data-parallel shard; at least 1 (a value at "
                "least the batch size trains the whole batch as one shard)");
-  flags.AddBool("tape", true,
-                "train on the compiled batch tape (fused kernels + buffer "
-                "arena); --tape=false runs the eager reference path");
-  flags.AddBool("tape_replay", true,
-                "replay the cached backward schedule per step fingerprint; "
-                "--tape_replay=false rebuilds closures every step");
 }
 
 BenchOptions ReadBenchOptions(const common::FlagParser& flags) {
@@ -80,8 +74,6 @@ BenchOptions ReadBenchOptions(const common::FlagParser& flags) {
   opts.lambda = flags.GetDouble("lambda");
   opts.num_threads = flags.GetInt("num_threads");
   opts.shard_size = flags.GetInt("shard_size");
-  opts.use_tape = flags.GetBool("tape");
-  opts.tape_replay = flags.GetBool("tape_replay");
   // Apply immediately so every subsequent kernel/trainer call uses it; the
   // pool size is reported so speedup numbers are attributable.
   common::ThreadPool::SetGlobalSize(static_cast<int>(opts.num_threads));
@@ -109,8 +101,6 @@ core::RrreConfig DefaultRrreConfig(const BenchOptions& opts, uint64_t seed) {
   c.sampling = opts.random_sampling ? data::SamplingStrategy::kRandom
                                     : data::SamplingStrategy::kLatest;
   c.shard_size = opts.shard_size;
-  c.use_tape = opts.use_tape;
-  c.tape_replay = opts.tape_replay;
   return c;
 }
 
@@ -131,8 +121,6 @@ std::unique_ptr<baselines::RatingPredictor> MakeRatingModel(
     c.common.epochs = opts.epochs;
     c.common.seed = seed;
     c.common.shard_size = opts.shard_size;
-    c.common.use_tape = opts.use_tape;
-    c.common.tape_replay = opts.tape_replay;
     return std::make_unique<baselines::DeepCoNN>(c);
   }
   if (name == "narre") {
@@ -140,8 +128,6 @@ std::unique_ptr<baselines::RatingPredictor> MakeRatingModel(
     c.common.epochs = opts.epochs;
     c.common.seed = seed;
     c.common.shard_size = opts.shard_size;
-    c.common.use_tape = opts.use_tape;
-    c.common.tape_replay = opts.tape_replay;
     return std::make_unique<baselines::Narre>(c);
   }
   if (name == "der") {
@@ -149,8 +135,6 @@ std::unique_ptr<baselines::RatingPredictor> MakeRatingModel(
     c.common.epochs = opts.epochs;
     c.common.seed = seed;
     c.common.shard_size = opts.shard_size;
-    c.common.use_tape = opts.use_tape;
-    c.common.tape_replay = opts.tape_replay;
     return std::make_unique<baselines::Der>(c);
   }
   RRRE_LOG_FATAL << "unknown rating model: " << name;

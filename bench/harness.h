@@ -40,8 +40,6 @@ struct BenchOptions {
   double lambda = 0.5;             ///< RRRE loss mix.
   int64_t num_threads = 0;         ///< Global pool size; 0 = hardware.
   int64_t shard_size = 8;          ///< Data-parallel shard; at least 1.
-  bool use_tape = true;            ///< Compiled batch tape + fused kernels.
-  bool tape_replay = true;         ///< Replay cached backward schedules.
 };
 
 /// Registers --scale/--epochs/--seeds/--seed/--num_threads flags on a parser.

@@ -7,7 +7,6 @@
 #include "common/threadpool.h"
 #include "nn/loss.h"
 #include "tensor/ops.h"
-#include "tensor/tape.h"
 #include "text/tokenizer.h"
 #include "text/word2vec.h"
 
@@ -60,16 +59,11 @@ void NeuralRatingBaseline::Fit(const data::ReviewDataset& train) {
   }
   optimizer_ = std::make_unique<nn::Adam>(params, config_.lr);
 
-  step_ = std::make_unique<nn::ShardedStep>(
-      config_.shard_size, config_.use_tape, config_.tape_replay);
+  step_ = std::make_unique<nn::ShardedStep>(config_.shard_size);
 
   const int64_t n = train_->size();
   std::vector<int64_t> order(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-  // Same step, tape and fusion scheme as RrreTrainer::TrainEpochs; fused
-  // graphs are bitwise identical to eager ones, so the flag never changes
-  // results.
-  tensor::SetFusionEnabled(config_.use_tape);
   for (int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng_.Shuffle(order);
     for (int64_t start = 0; start < n; start += config_.batch_size) {

@@ -39,12 +39,6 @@ class NeuralRatingBaseline : public RatingPredictor {
     /// Examples per data-parallel shard; at least 1. Same contract as
     /// RrreConfig::shard_size.
     int64_t shard_size = 8;
-    /// Train on a compiled batch tape with fused kernels; bitwise identical
-    /// to the eager path. Same contract as RrreConfig::use_tape.
-    bool use_tape = true;
-    /// Replay the cached backward schedule per step fingerprint. Same
-    /// contract as RrreConfig::tape_replay.
-    bool tape_replay = true;
   };
 
   void Fit(const data::ReviewDataset& train) final;

@@ -44,17 +44,12 @@ struct RrreConfig {
   /// nn::ShardedStep and DESIGN.md, "Parallel execution"). The shard size
   /// changes only the float summation order and the shards' RNG streams.
   int64_t shard_size = 8;
-  /// Run each training step on a compiled batch tape: fused gate/attention
-  /// kernels plus a per-step arena that recycles every graph-node buffer
-  /// after the first batch (see DESIGN.md, "Compiled batch tape & blocked
-  /// kernels"). Bitwise identical to the eager path; off is kept as the
-  /// reference for parity tests and bisection.
+  /// Training always runs on the compiled batch tape with fused kernels and
+  /// replays each step's recorded schedule (see DESIGN.md, "Compiled batch
+  /// tape & blocked kernels"); the trainer refuses either field set to
+  /// false. Both exist only because perfbench's fixture still sets them,
+  /// until the queued benchmark change drops those lines.
   bool use_tape = true;
-  /// With the tape on, cache the recorded backward schedule per step
-  /// fingerprint and replay it: steady-state steps skip the topological DFS
-  /// and rebuild no closures. Bitwise identical to rebuilding every step;
-  /// off (`--tape_replay=false`) restores the rebuild-every-step tape as an
-  /// escape hatch and a bisection reference.
   bool tape_replay = true;
 
   // -- Text pipeline -----------------------------------------------------------

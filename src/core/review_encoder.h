@@ -32,6 +32,7 @@ class ReviewEncoder : public nn::Module {
 
   int64_t max_tokens() const { return max_tokens_; }
   int64_t rev_dim() const { return encoder_.output_size(); }
+  const nn::BiLstmEncoder& bilstm() const { return encoder_; }
 
  private:
   nn::Embedding* word_embedding_;  // Not owned.

@@ -97,63 +97,31 @@ int64_t BatchScorer::EffectiveCap() const {
 }
 
 void BatchScorer::PrimeUsers(const std::vector<int64_t>& users) {
-  CheckNotStale();
-  if (store_ != nullptr) return;  // Every profile is already materialized.
-  std::vector<int64_t> distinct = users;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  std::vector<int64_t> missing;
-  for (int64_t u : distinct) {
-    if (user_profiles_.Contains(u)) {
-      // Touching hits first moves the whole working set to the MRU end, so
-      // the inserts below can only evict ids outside this Prime call.
-      ++user_stats_.hits;
-      user_profiles_.Touch(u);
-    } else {
-      ++user_stats_.misses;
-      missing.push_back(u);
-    }
-  }
-  const int64_t chunk_size = trainer_->config().batch_size;
-  const int64_t cap = EffectiveCap();
-  for (size_t start = 0; start < missing.size();
-       start += static_cast<size_t>(chunk_size)) {
-    const size_t end =
-        std::min(missing.size(), start + static_cast<size_t>(chunk_size));
-    std::vector<std::pair<int64_t, int64_t>> pairs;
-    for (size_t i = start; i < end; ++i) {
-      pairs.emplace_back(missing[i], 0);  // Item id is inert for UserNet.
-    }
-    const auto batch = features_.Build(pairs, rng_);
-    Tensor profiles = trainer_->model().ComputeUserProfiles(batch);
-    for (size_t i = start; i < end; ++i) {
-      const int64_t row = static_cast<int64_t>(i - start);
-      std::vector<float> p(static_cast<size_t>(profile_dim_));
-      for (int64_t c = 0; c < profile_dim_; ++c) {
-        p[static_cast<size_t>(c)] = profiles.at(row, c);
-      }
-      user_stats_.evictions +=
-          user_profiles_.Insert(missing[i], std::move(p), cap);
-    }
-  }
+  PrimeTower(users, /*user_tower=*/true, user_profiles_, user_stats_);
 }
 
 void BatchScorer::PrimeItems(const std::vector<int64_t>& items) {
+  PrimeTower(items, /*user_tower=*/false, item_profiles_, item_stats_);
+}
+
+void BatchScorer::PrimeTower(const std::vector<int64_t>& ids, bool user_tower,
+                             ProfileCache& cache, CacheStats& stats) {
   CheckNotStale();
   if (store_ != nullptr) return;  // Every profile is already materialized.
-  std::vector<int64_t> distinct = items;
+  std::vector<int64_t> distinct = ids;
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
   std::vector<int64_t> missing;
-  for (int64_t i : distinct) {
-    if (item_profiles_.Contains(i)) {
-      ++item_stats_.hits;
-      item_profiles_.Touch(i);
+  for (int64_t id : distinct) {
+    if (cache.Contains(id)) {
+      // Touching hits first moves the whole working set to the MRU end, so
+      // the inserts below can only evict ids outside this Prime call.
+      ++stats.hits;
+      cache.Touch(id);
     } else {
-      ++item_stats_.misses;
-      missing.push_back(i);
+      ++stats.misses;
+      missing.push_back(id);
     }
   }
   const int64_t chunk_size = trainer_->config().batch_size;
@@ -162,20 +130,24 @@ void BatchScorer::PrimeItems(const std::vector<int64_t>& items) {
        start += static_cast<size_t>(chunk_size)) {
     const size_t end =
         std::min(missing.size(), start + static_cast<size_t>(chunk_size));
+    // The other side's id is inert: UserNet reads only the user's history,
+    // ItemNet only the item's.
     std::vector<std::pair<int64_t, int64_t>> pairs;
     for (size_t i = start; i < end; ++i) {
-      pairs.emplace_back(0, missing[i]);  // User id is inert for ItemNet.
+      pairs.push_back(user_tower ? std::make_pair(missing[i], int64_t{0})
+                                 : std::make_pair(int64_t{0}, missing[i]));
     }
     const auto batch = features_.Build(pairs, rng_);
-    Tensor profiles = trainer_->model().ComputeItemProfiles(batch);
+    const RrreModel& model = trainer_->model();
+    Tensor profiles = user_tower ? model.ComputeUserProfiles(batch)
+                                 : model.ComputeItemProfiles(batch);
     for (size_t i = start; i < end; ++i) {
       const int64_t row = static_cast<int64_t>(i - start);
       std::vector<float> p(static_cast<size_t>(profile_dim_));
       for (int64_t c = 0; c < profile_dim_; ++c) {
         p[static_cast<size_t>(c)] = profiles.at(row, c);
       }
-      item_stats_.evictions +=
-          item_profiles_.Insert(missing[i], std::move(p), cap);
+      stats.evictions += cache.Insert(missing[i], std::move(p), cap);
     }
   }
 }

@@ -131,6 +131,12 @@ class BatchScorer {
   /// tower_cache_cap clamped up to the chunk size (0 stays unbounded).
   int64_t EffectiveCap() const;
 
+  /// PrimeUsers (`user_tower`) or PrimeItems: counts hits and misses in
+  /// `stats`, then runs the tower over the missing ids in batch_size chunks
+  /// and inserts their profiles into `cache`.
+  void PrimeTower(const std::vector<int64_t>& ids, bool user_tower,
+                  ProfileCache& cache, CacheStats& stats);
+
   RrreTrainer* trainer_;
   Options options_;
   /// Non-null in store-backed mode; shared so a hot reload can swap the

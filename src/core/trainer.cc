@@ -31,6 +31,8 @@ RrreTrainer::RrreTrainer(RrreConfig config)
   RRRE_CHECK_GT(config_.batch_size, 0);
   RRRE_CHECK_GT(config_.epochs, 0);
   RRRE_CHECK_GE(config_.shard_size, 1);
+  RRRE_CHECK(config_.use_tape);  // Both accept only true: see RrreConfig.
+  RRRE_CHECK(config_.tape_replay);
   RRRE_CHECK_GE(config_.lambda, 0.0);
   RRRE_CHECK_LE(config_.lambda, 1.0);
 }
@@ -59,8 +61,7 @@ void RrreTrainer::Fit(const data::ReviewDataset& train,
   model_ = std::make_unique<RrreModel>(config_, train_->num_users(),
                                        train_->num_items(), vocab_->size(),
                                        init_rng);
-  step_ = std::make_unique<nn::ShardedStep>(
-      config_.shard_size, config_.use_tape, config_.tape_replay);
+  step_ = std::make_unique<nn::ShardedStep>(config_.shard_size);
   if (config_.pretrain_word_vectors) {
     std::vector<std::vector<int64_t>> id_docs;
     id_docs.reserve(docs.size());
@@ -91,11 +92,6 @@ tensor::BatchTape::Stats RrreTrainer::TapeStats() const {
 
 void RrreTrainer::TrainEpochs(int64_t first_epoch,
                               const EpochCallback& callback) {
-  // Fusion rides the same switch as the tape: fused graphs are bitwise
-  // identical to eager ones, so this changes graph shape, never arithmetic.
-  // The flag is global and sticky — predictions after training also run the
-  // (identical) fused forward.
-  tensor::SetFusionEnabled(config_.use_tape);
   const int64_t n = train_->size();
   std::vector<int64_t> order(static_cast<size_t>(n));
   const float lam = static_cast<float>(config_.lambda);
@@ -499,8 +495,7 @@ common::Status RrreTrainer::Load(const std::string& prefix) {
   model_ = std::make_unique<RrreModel>(config_, train_->num_users(),
                                        train_->num_items(), vocab_->size(),
                                        init_rng);
-  step_ = std::make_unique<nn::ShardedStep>(
-      config_.shard_size, config_.use_tape, config_.tape_replay);
+  step_ = std::make_unique<nn::ShardedStep>(config_.shard_size);
   RRRE_RETURN_IF_ERROR(model_->Load(prefix + ".model"));
   features_ = std::make_unique<FeatureBuilder>(config_, train_.get(),
                                                vocab_.get());
@@ -515,10 +510,6 @@ common::Status RrreTrainer::Load(const std::string& prefix) {
   }
   // Restored last: the forks above must not perturb the checkpointed stream.
   if (meta.value().has_rng) rng_.RestoreState(meta.value().rng_state);
-  // Same switch as TrainEpochs, so a process that loads without training
-  // runs the fused forward too; the fused and eager graphs are bitwise
-  // identical.
-  tensor::SetFusionEnabled(config_.use_tape);
   ++params_version_;
   return common::Status::Ok();
 }

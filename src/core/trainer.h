@@ -139,8 +139,7 @@ class RrreTrainer {
   /// predict, Resume() remaining epochs (when optimizer state was saved), or
   /// Fit again to retrain from scratch. A history shape in .meta that
   /// differs from config() fails with FailedPrecondition. Legacy checkpoints
-  /// (scalar-only .meta) still load but cannot Resume. Like training, Load
-  /// selects the fused forward when config().use_tape is set.
+  /// (scalar-only .meta) still load but cannot Resume.
   common::Status Load(const std::string& prefix);
 
   /// File suffixes a Save(prefix) writes, in write order. ".optimizer" is
@@ -163,9 +162,9 @@ class RrreTrainer {
   /// parameter-derived values (e.g. BatchScorer tower profiles) snapshot it
   /// and treat a mismatch as staleness.
   int64_t params_version() const { return params_version_; }
-  /// Aggregated counters of the per-shard batch tapes (zeroes when
-  /// config().use_tape is false or training has not run). Fit and Load start
-  /// fresh tapes, so the counters cover only the current model's steps. The
+  /// Aggregated counters of the per-shard batch tapes (zeroes before
+  /// training has run). Fit and Load start fresh tapes, so the counters
+  /// cover only the current model's steps. The
   /// interesting invariants — buffer_allocs stops growing after the first
   /// step of each shape, distinct_sequences stays at the number of distinct
   /// batch shapes — are asserted by tests/test_kernels.cc.

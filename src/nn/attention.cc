@@ -2,7 +2,6 @@
 
 #include "obs/trace.h"
 #include "tensor/ops.h"
-#include "tensor/tape.h"
 
 namespace rrre::nn {
 
@@ -35,16 +34,12 @@ Tensor FraudAttention::Forward(const Tensor& rev, const Tensor& user_ids,
   RRRE_CHECK_EQ(rows % group_size, 0);
   const int64_t batch = rows / group_size;
 
-  // Fused: one node for the three-way add + bias + tanh, bitwise identical
-  // to the eager chain (left-to-right partial sums match the Add nesting).
-  Tensor hidden =
-      FusionEnabled()
-          ? AddNBiasAct({MatMul(rev, w_rev_), MatMul(user_ids, w_u_),
-                         MatMul(item_ids, w_i_)},
-                        b1_, Activation::kTanh)
-          : Tanh(AddBias(Add(Add(MatMul(rev, w_rev_), MatMul(user_ids, w_u_)),
-                             MatMul(item_ids, w_i_)),
-                         b1_));
+  // One node for the three-way add + bias + tanh, bitwise identical to the
+  // unfused chain (left-to-right partial sums match the Add nesting;
+  // tests/test_kernels.cc, FraudAttentionBitwise).
+  Tensor hidden = AddNBiasAct({MatMul(rev, w_rev_), MatMul(user_ids, w_u_),
+                               MatMul(item_ids, w_i_)},
+                              b1_, Activation::kTanh);
   Tensor scores = AddBias(MatMul(hidden, h_), b2_);       // [B*s, 1]
   Tensor grouped = Reshape(scores, {batch, group_size});  // [B, s]
   if (mask.defined()) {

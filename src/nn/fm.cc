@@ -1,7 +1,6 @@
 #include "nn/fm.h"
 
 #include "tensor/ops.h"
-#include "tensor/tape.h"
 
 namespace rrre::nn {
 
@@ -23,12 +22,10 @@ Tensor FactorizationMachine::Forward(const Tensor& x) const {
   Tensor linear = AddBias(MatMul(x, w_), w0_);           // [B, 1]
   Tensor xv = MatMul(x, v_);                             // [B, f]
   Tensor x2v2 = MatMul(Square(x), Square(v_));           // [B, f]
-  // Fused: collapses the Square/Sub/RowSum/MulScalar chain into one node,
-  // bitwise identical (same per-element roundings, double row accumulator).
-  Tensor pair = FusionEnabled()
-                    ? FmPairwise(xv, x2v2)
-                    : MulScalar(RowSum(Sub(Square(xv), x2v2)), 0.5f);
-  return Add(linear, pair);
+  // One node for the Square/Sub/RowSum/MulScalar chain, bitwise identical
+  // (same per-element roundings, double row accumulator; tests/
+  // test_kernels.cc, FactorizationMachineBitwise).
+  return Add(linear, FmPairwise(xv, x2v2));
 }
 
 }  // namespace rrre::nn

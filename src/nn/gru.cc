@@ -1,7 +1,6 @@
 #include "nn/gru.h"
 
 #include "tensor/ops.h"
-#include "tensor/tape.h"
 
 namespace rrre::nn {
 
@@ -26,22 +25,11 @@ Tensor GruCell::InitialState(int64_t batch) const {
 Tensor GruCell::Step(const Tensor& x, const Tensor& h) const {
   RRRE_CHECK_EQ(x.dim(1), input_size_);
   using namespace tensor;  // NOLINT(build/namespaces) - op-heavy function.
-  const int64_t hs = hidden_size_;
-  if (FusionEnabled()) {
-    // Fused gate block: 3 nodes instead of 12, bitwise identical to the
-    // eager chain below (tests/test_kernels.cc, GruFusedMatchesEager).
-    Tensor gi = AddNBiasAct({MatMul(x, w_ih_)}, bias_, Activation::kNone);
-    Tensor gh = MatMul(h, w_hh_);
-    return GruPointwise(gi, gh, h);
-  }
-  Tensor gi = AddBias(MatMul(x, w_ih_), bias_);
+  // Fused gate block: 3 nodes instead of 12, bitwise identical to the
+  // unfused chain (tests/test_kernels.cc, GruCellBitwise).
+  Tensor gi = AddNBiasAct({MatMul(x, w_ih_)}, bias_, Activation::kNone);
   Tensor gh = MatMul(h, w_hh_);
-  Tensor r = Sigmoid(Add(SliceCols(gi, 0, hs), SliceCols(gh, 0, hs)));
-  Tensor z = Sigmoid(Add(SliceCols(gi, hs, hs), SliceCols(gh, hs, hs)));
-  Tensor n =
-      Tanh(Add(SliceCols(gi, 2 * hs, hs), Mul(r, SliceCols(gh, 2 * hs, hs))));
-  // h' = (1 - z) * n + z * h.
-  return Add(Mul(Sub(Tensor::Full({h.dim(0), hs}, 1.0f), z), n), Mul(z, h));
+  return GruPointwise(gi, gh, h);
 }
 
 Tensor GruCell::Encode(const std::vector<Tensor>& steps) const {

@@ -1,7 +1,6 @@
 #include "nn/linear.h"
 
 #include "tensor/ops.h"
-#include "tensor/tape.h"
 
 namespace rrre::nn {
 
@@ -23,12 +22,10 @@ Linear::Linear(int64_t in_features, int64_t out_features, common::Rng& rng,
 
 Tensor Linear::Forward(const Tensor& x) const {
   Tensor y = tensor::MatMul(x, weight_);
+  // Single-part AddNBiasAct with no activation is bitwise AddBias
+  // (tests/test_kernels.cc, LinearBitwise).
   if (use_bias_) {
-    // Single-part AddNBiasAct with no activation is bitwise AddBias; under
-    // fusion it saves one node per layer call on the tape.
-    y = tensor::FusionEnabled()
-            ? tensor::AddNBiasAct({y}, bias_, tensor::Activation::kNone)
-            : tensor::AddBias(y, bias_);
+    y = tensor::AddNBiasAct({y}, bias_, tensor::Activation::kNone);
   }
   return y;
 }

@@ -1,9 +1,6 @@
 #include "nn/lstm.h"
 
-#include <vector>
-
 #include "tensor/ops.h"
-#include "tensor/tape.h"
 
 namespace rrre::nn {
 
@@ -56,31 +53,9 @@ BiLstmEncoder::BiLstmEncoder(int64_t input_size, int64_t hidden_size,
 }
 
 Tensor BiLstmEncoder::Encode(const Tensor& x, int64_t num_steps) const {
-  if (tensor::FusionEnabled()) {
-    // Bitwise identical to the chains below (tests/test_kernels.cc,
-    // ReviewEncoderBitwise).
-    return tensor::ConcatCols(
-        {forward_.Sequence(x, num_steps, /*reverse=*/false),
-         backward_.Sequence(x, num_steps, /*reverse=*/true)});
-  }
-  RRRE_CHECK_GT(num_steps, 0);
-  RRRE_CHECK_EQ(x.dim(0) % num_steps, 0);
-  const int64_t batch = x.dim(0) / num_steps;
-  // One slice per step, read by both directions: each step input's grad
-  // sums the backward direction's term, then the forward one, exactly as
-  // the fused nodes' shared x does.
-  std::vector<Tensor> steps;
-  steps.reserve(static_cast<size_t>(num_steps));
-  for (int64_t t = 0; t < num_steps; ++t) {
-    steps.push_back(tensor::SliceRows(x, t * batch, batch));
-  }
-  LstmCell::State fwd = forward_.InitialState(batch);
-  for (const Tensor& step : steps) fwd = forward_.Step(step, fwd);
-  LstmCell::State bwd = backward_.InitialState(batch);
-  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-    bwd = backward_.Step(*it, bwd);
-  }
-  return tensor::ConcatCols({fwd.h, bwd.h});
+  return tensor::ConcatCols(
+      {forward_.Sequence(x, num_steps, /*reverse=*/false),
+       backward_.Sequence(x, num_steps, /*reverse=*/true)});
 }
 
 }  // namespace rrre::nn

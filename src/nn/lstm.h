@@ -23,8 +23,9 @@ class LstmCell : public Module {
   /// Zero state for a batch.
   State InitialState(int64_t batch) const;
 
-  /// One timestep: x [batch, input] + state -> next state, as the eager
-  /// per-op chain.
+  /// One timestep: x [batch, input] + state -> next state, as the unfused
+  /// per-op chain. Training runs Sequence; a chain of Steps is the oracle
+  /// the tests hold Sequence to, bit for bit.
   State Step(const tensor::Tensor& x, const State& state) const;
 
   /// The whole Step chain from the zero state as one tensor::LstmSequence
@@ -52,13 +53,14 @@ class BiLstmEncoder : public Module {
   BiLstmEncoder(int64_t input_size, int64_t hidden_size, common::Rng& rng);
 
   /// x is time-major [T*batch, input]: rows [t*batch, (t+1)*batch) are the
-  /// inputs at time t. Returns [batch, 2*hidden]. With
-  /// tensor::FusionEnabled() each direction is one LstmSequence node;
-  /// otherwise both directions run the eager Step chain over the same row
-  /// slices of x, the bitwise reference the fused graph reproduces.
+  /// inputs at time t. Returns [batch, 2*hidden]. Each direction is one
+  /// LstmSequence node, bitwise identical to a chain of its cell's Steps
+  /// over the row slices of x (tests/test_kernels.cc, ReviewEncoderBitwise).
   tensor::Tensor Encode(const tensor::Tensor& x, int64_t num_steps) const;
 
   int64_t output_size() const { return 2 * forward_.hidden_size(); }
+  const LstmCell& forward_cell() const { return forward_; }
+  const LstmCell& backward_cell() const { return backward_; }
 
  private:
   LstmCell forward_;

@@ -1,7 +1,6 @@
 #include "nn/sharded_step.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -17,8 +16,7 @@ using tensor::BatchTape;
 using tensor::GradSink;
 using tensor::Tensor;
 
-ShardedStep::ShardedStep(int64_t shard_size, bool use_tape, bool tape_replay)
-    : shard_size_(shard_size), use_tape_(use_tape), tape_replay_(tape_replay) {
+ShardedStep::ShardedStep(int64_t shard_size) : shard_size_(shard_size) {
   RRRE_CHECK_GE(shard_size_, 1);
 }
 
@@ -32,9 +30,8 @@ std::vector<double> ShardedStep::Run(int64_t batch_examples,
                                      const ParamLoss& param_loss) {
   const int64_t bsz = batch_examples;
   const int64_t num_shards = NumShards(bsz);
-  while (use_tape_ && static_cast<int64_t>(tapes_.size()) < num_shards) {
+  while (static_cast<int64_t>(tapes_.size()) < num_shards) {
     tapes_.push_back(std::make_unique<BatchTape>());
-    tapes_.back()->SetReplayEnabled(tape_replay_);
   }
   const Rng batch_rng = rng.Fork();
   std::vector<GradSink> sinks;
@@ -51,13 +48,10 @@ std::vector<double> ShardedStep::Run(int64_t batch_examples,
     shard.end = std::min(bsz, shard.begin + shard_size_);
     shard.frac = static_cast<float>(shard.end - shard.begin) /
                  static_cast<float>(bsz);
-    std::optional<BatchTape::Scope> tape_scope;
-    if (use_tape_) {
-      BatchTape* tape = tapes_[static_cast<size_t>(s)].get();
-      tape->BeginStep((static_cast<uint64_t>(bsz) << 32) |
-                      static_cast<uint64_t>(shard.end - shard.begin));
-      tape_scope.emplace(tape);
-    }
+    BatchTape* tape = tapes_[static_cast<size_t>(s)].get();
+    tape->BeginStep((static_cast<uint64_t>(bsz) << 32) |
+                    static_cast<uint64_t>(shard.end - shard.begin));
+    BatchTape::Scope tape_scope(tape);
     Rng shard_rng = batch_rng.Fork(static_cast<uint64_t>(s));
     Tensor loss = shard_loss(shard, shard_rng);
     GradSink::Scope sink_scope(&sinks[static_cast<size_t>(s)]);
@@ -84,8 +78,7 @@ std::vector<double> ShardedStep::Run(int64_t batch_examples,
   }
   if (param_loss) {
     // Shard 0's tape is free on this thread once the shards have joined.
-    std::optional<BatchTape::Scope> tape_scope;
-    if (use_tape_) tape_scope.emplace(tapes_[0].get());
+    BatchTape::Scope tape_scope(tapes_[0].get());
     param_loss().Backward();
   }
   std::vector<GradSink*> merge;

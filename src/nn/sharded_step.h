@@ -36,12 +36,12 @@ namespace rrre::nn {
 ///    on the pool, so either way gives the same bits.
 ///  - Sinks are merged in shard order.
 ///
-/// With the tape on, shard s records and replays on tape s under the key
-/// (B << 32) | b_s: frac depends on B, so a full batch's shard and a
-/// same-sized tail-batch shard trace different closures and compile
-/// separately. The parameter-only loss joins shard 0's open step. Tapes hold
-/// graphs over the parameters they recorded, so a trainer builds a fresh
-/// step for every new model.
+/// Shard s records and replays on tape s under the key (B << 32) | b_s:
+/// frac depends on B, so a full batch's shard and a same-sized tail-batch
+/// shard trace different closures and compile separately. The
+/// parameter-only loss joins shard 0's open step. Tapes hold graphs over the
+/// parameters they recorded, so a trainer builds a fresh step for every new
+/// model.
 class ShardedStep {
  public:
   /// One shard's slice [begin, end) of the batch.
@@ -59,8 +59,8 @@ class ShardedStep {
   /// Builds a loss over the parameters alone.
   using ParamLoss = std::function<tensor::Tensor()>;
 
-  /// `shard_size` >= 1; `use_tape` and `tape_replay` as in RrreConfig.
-  ShardedStep(int64_t shard_size, bool use_tape, bool tape_replay);
+  /// `shard_size` >= 1.
+  explicit ShardedStep(int64_t shard_size);
 
   int64_t NumShards(int64_t batch_examples) const;
 
@@ -72,7 +72,7 @@ class ShardedStep {
                           common::Rng& rng, const ShardLoss& shard_loss,
                           const ParamLoss& param_loss = nullptr);
 
-  /// Counters of every shard tape, summed (zeroes with the tape off).
+  /// Counters of every shard tape, summed.
   tensor::BatchTape::Stats TapeStats() const;
 
   /// Wall seconds since the last Run's shards joined. Read after the
@@ -82,8 +82,6 @@ class ShardedStep {
 
  private:
   int64_t shard_size_;
-  bool use_tape_;
-  bool tape_replay_;
   /// Tape s belongs to shard s, which one thread runs at a time. Kept across
   /// steps: that is what lets batch N replay batch N-1's graph.
   std::vector<std::unique_ptr<tensor::BatchTape>> tapes_;

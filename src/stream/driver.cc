@@ -1,7 +1,5 @@
 #include "stream/driver.h"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/io.h"
@@ -192,32 +190,27 @@ Status StreamDriver::ReloadEndpoint(const StreamEndpoint& endpoint,
                            reply.value());
   }
 
-  // The RELOAD ack means the new snapshot is in; poll STATS until the peer
-  // reports the published fingerprint — and, when it reports one (the router
-  // does), zero quarantined backends, i.e. a clean roll.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.reload_timeout_ms);
-  for (;;) {
-    auto reply = RoundTrip(conn, reader, "STATS\n");
-    if (!reply.ok()) return reply.status();
-    auto stats = serve::ParseStatsLine(reply.value());
-    if (!stats.ok()) {
-      return Status::IoError("STATS from " + where + ": " +
-                             stats.status().message());
-    }
-    const uint64_t seen = stats.value().fingerprint;
-    const int64_t quarantined = stats.value().quarantined;
-    if (seen == fingerprint && quarantined == 0) return Status::Ok();
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Status::DeadlineExceeded(common::StrFormat(
-          "%s did not converge on fingerprint %llu (saw %llu, "
-          "quarantined=%lld)",
-          where.c_str(), static_cast<unsigned long long>(fingerprint),
-          static_cast<unsigned long long>(seen),
-          static_cast<long long>(quarantined)));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // A shard stores its new fingerprint before it acks, and a router acks
+  // only after reading every live shard's STATS with none quarantined, so
+  // the first STATS after the ack already shows how the roll ended: the
+  // published fingerprint and, when the peer reports one (the router does),
+  // zero quarantined backends.
+  auto stats_line = RoundTrip(conn, reader, "STATS\n");
+  if (!stats_line.ok()) return stats_line.status();
+  auto stats = serve::ParseStatsLine(stats_line.value());
+  if (!stats.ok()) {
+    return Status::IoError("STATS from " + where + ": " +
+                           stats.status().message());
   }
+  const uint64_t seen = stats.value().fingerprint;
+  const int64_t quarantined = stats.value().quarantined;
+  if (seen == fingerprint && quarantined == 0) return Status::Ok();
+  return Status::IoError(common::StrFormat(
+      "%s reloaded but serves fingerprint %llu, not the published %llu "
+      "(quarantined=%lld)",
+      where.c_str(), static_cast<unsigned long long>(seen),
+      static_cast<unsigned long long>(fingerprint),
+      static_cast<long long>(quarantined)));
 }
 
 }  // namespace rrre::stream

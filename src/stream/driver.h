@@ -36,8 +36,8 @@ struct StreamOptions {
   /// rrre_served / rrre_routed processes to RELOAD after each publish. A
   /// router endpoint reloads its whole fleet behind its rolling barrier.
   std::vector<StreamEndpoint> reload_endpoints;
-  /// Deadline for one endpoint to acknowledge the RELOAD and converge its
-  /// STATS fingerprint (and, for a router, report quarantined=0).
+  /// Send and receive deadline on one endpoint's connection: the RELOAD
+  /// ack and the STATS read after it.
   int reload_timeout_ms = 15000;
   /// Per-epoch + per-generation JSONL stream; not owned, may be null.
   obs::TelemetryWriter* telemetry = nullptr;
@@ -94,9 +94,9 @@ class StreamDriver {
   core::RrreTrainer& trainer() { return trainer_; }
 
  private:
-  /// Sends RELOAD to one endpoint and polls its STATS line until the
-  /// fingerprint matches `fingerprint` and (when the peer reports one — the
-  /// router does) quarantined is 0.
+  /// Sends RELOAD to one endpoint, then reads one STATS line: fails at once
+  /// unless it reports `fingerprint` and (when the peer reports one — the
+  /// router does) quarantined 0.
   common::Status ReloadEndpoint(const StreamEndpoint& endpoint,
                                 uint64_t fingerprint);
 

@@ -102,13 +102,14 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
 
 // -- Fused ops ----------------------------------------------------------------
 //
-// Single graph nodes replacing the eager chains the src/nn modules build.
-// Each fused op is constructed to produce bitwise identical values AND
-// gradients to the eager chain it replaces: the forward applies the same
-// float operations in the same order, and the backward mirrors the exact
-// sequence of rounded products the eager node-by-node backward performs
-// (verified by the fused-vs-eager suites in tests/test_kernels.cc). The win
-// is graph size: one node + one backward closure instead of five to ten.
+// Single graph nodes that the src/nn modules build in place of eager
+// (op-by-op) chains of the ops above. Each fused op is constructed to
+// produce bitwise identical values AND gradients to the eager chain it
+// replaces: the forward applies the same float operations in the same
+// order, and the backward mirrors the exact sequence of rounded products the
+// eager node-by-node backward performs. The chains survive only as the
+// oracles of tests/test_kernels.cc (KernelFusionParityTest). The win is
+// graph size: one node + one backward closure instead of five to ten.
 
 enum class Activation { kNone, kTanh, kSigmoid, kRelu };
 

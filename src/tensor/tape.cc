@@ -1,7 +1,6 @@
 #include "tensor/tape.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "common/logging.h"
@@ -14,8 +13,6 @@ using internal::TensorImpl;
 namespace {
 
 thread_local BatchTape* g_active_tape = nullptr;
-
-std::atomic<bool> g_fusion_enabled{false};
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
@@ -170,18 +167,16 @@ void BatchTape::BeginStep(uint64_t key) {
   if (recording_graph_) FinalizeGraphRecording();
   SweepRetained();
   cursor_ = 0;
-  if (replay_enabled_) {
-    auto it = graphs_.find(key);
-    if (it != graphs_.end() && it->second.sealed) {
-      current_ = &it->second;
-      replaying_ = true;
-      ++stats_.replay_steps;
-    } else if (it == graphs_.end() && graphs_.size() < kMaxGraphs) {
-      Graph fresh;
-      fresh.key = key;
-      current_ = &graphs_.emplace(key, std::move(fresh)).first->second;
-      recording_graph_ = true;
-    }
+  auto it = graphs_.find(key);
+  if (it != graphs_.end() && it->second.sealed) {
+    current_ = &it->second;
+    replaying_ = true;
+    ++stats_.replay_steps;
+  } else if (it == graphs_.end() && graphs_.size() < kMaxGraphs) {
+    Graph fresh;
+    fresh.key = key;
+    current_ = &graphs_.emplace(key, std::move(fresh)).first->second;
+    recording_graph_ = true;
   }
 }
 
@@ -305,18 +300,7 @@ BatchTape::Stats BatchTape::stats() const {
 }
 
 void BatchTape::SetReplayEnabled(bool enabled) {
-  if (replay_enabled_ == enabled) return;
-  replay_enabled_ = enabled;
-  // Drop every compiled graph: their nodes return to the arena and the keys
-  // re-record on next use (or never, when disabling).
-  replaying_ = false;
-  recording_graph_ = false;
-  current_ = nullptr;
-  cursor_ = 0;
-  for (auto& entry : graphs_) {
-    for (auto& node : entry.second.nodes) retained_.push_back(std::move(node));
-  }
-  graphs_.clear();
+  RRRE_CHECK(enabled) << "SetReplayEnabled(false): replay is always on";
 }
 
 bool BatchTape::ReplayBackward(TensorImpl* root) {
@@ -358,12 +342,8 @@ void BatchTape::RecordBackward(TensorImpl* root,
   }
 }
 
-bool FusionEnabled() {
-  return g_fusion_enabled.load(std::memory_order_relaxed);
-}
-
 void SetFusionEnabled(bool enabled) {
-  g_fusion_enabled.store(enabled, std::memory_order_relaxed);
+  RRRE_CHECK(enabled) << "SetFusionEnabled(false): fusion is always on";
 }
 
 }  // namespace rrre::tensor

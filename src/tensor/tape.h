@@ -44,8 +44,8 @@ namespace rrre::tensor {
 /// re-records on the key's next occurrence, so a replayed run can never
 /// silently execute the wrong schedule.
 ///
-/// Replay is bitwise identical to the rebuild-every-step arena and to the
-/// eager path: closures are written to capture only node pointers and
+/// Replay is bitwise identical to building the graph without a tape:
+/// closures are written to capture only node pointers and
 /// shape-derived constants (per-step payloads live in the node's scratch /
 /// iscratch stash), so the recorded closure performs exactly the arithmetic
 /// a freshly built one would.
@@ -133,12 +133,10 @@ class BatchTape {
 
   Stats stats() const;
 
-  /// Compiled-schedule replay on/off (default on). Off reproduces the
-  /// rebuild-every-step arena: nodes are swept and closures rebuilt each
-  /// step. Takes effect at the next BeginStep(); existing graphs are
-  /// dropped. The escape hatch behind --tape_replay.
+  /// Replay is always on; this does nothing and refuses `false`. It exists
+  /// only because perfbench's replica step still calls it, until the queued
+  /// benchmark change drops that call.
   void SetReplayEnabled(bool enabled);
-  bool replay_enabled() const { return replay_enabled_; }
 
   /// The tape active on the current thread, or nullptr.
   static BatchTape* Active();
@@ -234,22 +232,16 @@ class BatchTape {
   size_t cursor_ = 0;
   bool replaying_ = false;
   bool recording_graph_ = false;
-  bool replay_enabled_ = true;
   std::unordered_set<uint64_t> sequence_hashes_;
   uint64_t step_hash_ = 0;
   bool step_open_ = false;
   Stats stats_;
 };
 
-/// Global switch for the fused-op paths in src/nn: LstmSequence (one node
-/// per BiLstmEncoder direction in place of T eager LstmCell steps),
-/// AddNBiasAct, GruPointwise and FmPairwise. Off by default so unit tests
-/// exercise the eager reference graphs, which survive as the oracles the
-/// fused nodes are checked against; RrreTrainer and the neural baselines set
-/// it from their `use_tape` config. Fused and eager graphs are built to
-/// produce bitwise identical values and gradients — the flag trades graph
-/// shape (node count, fusion) only.
-bool FusionEnabled();
+/// The src/nn modules always build their fused bodies (LstmSequence,
+/// AddNBiasAct, GruPointwise, FmPairwise); this does nothing and refuses
+/// `false`. It exists only because perfbench's replica step still calls it,
+/// until the queued benchmark change drops that call.
 void SetFusionEnabled(bool enabled);
 
 }  // namespace rrre::tensor

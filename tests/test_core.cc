@@ -438,6 +438,16 @@ TEST(TrainerTest, NegativeShardSizeIsFatal) {
   }
 }
 
+TEST(TrainerTest, TapeOffIsFatal) {
+  // Training has one path; perfbench still sets both fields to true.
+  RrreConfig no_tape = TinyConfig();
+  no_tape.use_tape = false;
+  EXPECT_DEATH({ RrreTrainer trainer(no_tape); }, "use_tape");
+  RrreConfig no_replay = TinyConfig();
+  no_replay.tape_replay = false;
+  EXPECT_DEATH({ RrreTrainer trainer(no_replay); }, "tape_replay");
+}
+
 // ---------------------------------------------------------------------------
 // ReliableRecommender
 // ---------------------------------------------------------------------------

@@ -222,18 +222,6 @@ void RewriteMeta(const std::string& prefix, Edit edit) {
   ASSERT_TRUE(common::WriteFile(prefix + ".meta", out).ok());
 }
 
-TEST(TrainerPersistenceTest, LoadSelectsFusionFromUseTape) {
-  const std::string prefix = ::testing::TempDir() + "/rrre_fusion";
-  SaveTinyCheckpoint(prefix);  // TinyConfig trains with use_tape on.
-  const bool original = tensor::FusionEnabled();
-  tensor::SetFusionEnabled(false);
-  core::RrreTrainer restored(TinyConfig());
-  ASSERT_TRUE(restored.Load(prefix).ok());
-  EXPECT_TRUE(tensor::FusionEnabled());
-  tensor::SetFusionEnabled(original);
-  RemoveCheckpoint(prefix);
-}
-
 TEST(TrainerPersistenceTest, LoadRefusesAnotherHistoryShape) {
   const std::string prefix = ::testing::TempDir() + "/rrre_shape";
   SaveTinyCheckpoint(prefix);

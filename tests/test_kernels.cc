@@ -15,6 +15,8 @@
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "core/config.h"
+#include "core/features.h"
+#include "core/model.h"
 #include "core/review_encoder.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
@@ -32,6 +34,8 @@
 #include "tensor/ops.h"
 #include "tensor/tape.h"
 #include "tensor/tensor.h"
+#include "text/tokenizer.h"
+#include "text/vocab.h"
 
 namespace rrre {
 namespace {
@@ -41,22 +45,15 @@ using common::ThreadPool;
 using tensor::Shape;
 using tensor::Tensor;
 
-/// Every test in this file restores the two pieces of process-global state it
-/// may touch — the thread-pool size and the fusion switch — so binaries
-/// sharing a ctest invocation (or a manual full-suite run) are unaffected.
+/// Every test in this file restores the one piece of process-global state it
+/// may touch, the thread-pool size, so binaries sharing a ctest invocation
+/// (or a manual full-suite run) are unaffected.
 class KernelTestBase : public ::testing::Test {
  protected:
-  void SetUp() override {
-    original_threads_ = ThreadPool::GlobalSize();
-    original_fusion_ = tensor::FusionEnabled();
-  }
-  void TearDown() override {
-    ThreadPool::SetGlobalSize(original_threads_);
-    tensor::SetFusionEnabled(original_fusion_);
-  }
+  void SetUp() override { original_threads_ = ThreadPool::GlobalSize(); }
+  void TearDown() override { ThreadPool::SetGlobalSize(original_threads_); }
 
   int original_threads_ = 0;
-  bool original_fusion_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -940,9 +937,11 @@ TEST_F(KernelGradcheckTest, FmPairwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Fusion parity: every nn module that has a fused path must produce bitwise
-// identical values AND parameter/input gradients with fusion on and off.
-// This is the contract that lets `--tape` default on.
+// Fusion parity: every nn module builds one fused body, and each must produce
+// bitwise identical values AND parameter/input gradients to the unfused
+// chain of single ops it replaced. The chains below are those oracles, built
+// from the module's own parameters: naive references run on the same inputs
+// as the module under test, every output and grad compared bit for bit.
 // ---------------------------------------------------------------------------
 
 class KernelFusionParityTest : public KernelTestBase {};
@@ -952,88 +951,15 @@ struct ModuleRun {
   std::vector<std::vector<float>> grads;
 };
 
-/// Runs `body` with the fusion switch forced to `fused`. The body builds its
-/// module from a fresh rng (same seed both runs), returns the output tensor,
-/// and appends every tensor whose grad should be compared.
-ModuleRun RunModule(
-    bool fused,
-    const std::function<Tensor(Rng&, std::vector<Tensor>&)>& body) {
-  tensor::SetFusionEnabled(fused);
-  Rng rng(1234);
-  std::vector<Tensor> tracked;
-  Tensor out = body(rng, tracked);
-  Rng wrng(4321);
-  Tensor w = Tensor::Randn(out.shape(), wrng);
-  Tensor loss = tensor::Sum(tensor::Mul(out, w));
-  loss.Backward();
-  ModuleRun run;
-  run.out = out.ToVector();
-  for (const Tensor& t : tracked) run.grads.push_back(t.grad());
-  return run;
-}
-
-void ExpectFusedMatchesEager(
-    const std::function<Tensor(Rng&, std::vector<Tensor>&)>& body) {
-  const ModuleRun eager = RunModule(false, body);
-  const ModuleRun fused = RunModule(true, body);
-  EXPECT_EQ(fused.out, eager.out);
-  ASSERT_EQ(fused.grads.size(), eager.grads.size());
-  for (size_t i = 0; i < eager.grads.size(); ++i) {
-    EXPECT_EQ(fused.grads[i], eager.grads[i]) << "tracked tensor " << i;
-  }
-}
-
-TEST_F(KernelFusionParityTest, LinearBitwise) {
-  ExpectFusedMatchesEager([](Rng& rng, std::vector<Tensor>& tracked) {
-    nn::Linear layer(7, 5, rng);
-    Tensor x = Tensor::Randn({6, 7}, rng, 0.5f, /*requires_grad=*/true);
-    tracked.push_back(x);
-    for (const Tensor& p : layer.Parameters()) tracked.push_back(p);
-    return layer.Forward(x);
-  });
-}
-
-/// A ReviewEncoder over an 11-word table, so token ids repeat within and
-/// across slots and the table gradient scatter-adds into shared rows.
-struct EncoderUnderTest {
-  static constexpr int64_t kVocab = 11;
-
-  EncoderUnderTest(int64_t max_tokens, int64_t word_dim, int64_t rev_dim)
-      : rng(555),
-        words(kVocab, word_dim, rng, 0.5f),
-        encoder(&words, max_tokens, rev_dim, rng) {}
-
-  /// The word table, then both directions' w_ih, w_hh and bias.
-  std::vector<Tensor> Tracked() const {
-    std::vector<Tensor> out = {words.table()};
-    for (const Tensor& p : encoder.Parameters()) out.push_back(p);
-    return out;
-  }
-
-  Rng rng;
-  nn::Embedding words;
-  core::ReviewEncoder encoder;
-};
-
-std::vector<int64_t> RandomTokens(int64_t count, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<int64_t> ids(static_cast<size_t>(count));
-  for (int64_t& id : ids) {
-    id = static_cast<int64_t>(
-        rng.UniformInt(static_cast<uint64_t>(EncoderUnderTest::kVocab)));
-  }
-  return ids;
-}
-
-/// Encodes `tokens` (slots x max_tokens) and backprops a fixed random
-/// weighting of the output. With `sink` the grads go through a GradSink, as
-/// in a training shard, and are added into the zeroed leaf grads after.
-ModuleRun EncodeAndBackprop(const EncoderUnderTest& m,
-                            const std::vector<int64_t>& tokens, int64_t slots,
-                            bool sink) {
-  std::vector<Tensor> tracked = m.Tracked();
-  for (Tensor& t : tracked) t.ZeroGrad();
-  Tensor out = m.encoder.Encode(tokens, slots);
+/// Runs `forward` and backprops a fixed random weighting of its output.
+/// Returns the output and the grad of every `tracked` tensor (zeroed first).
+/// With `sink` the grads go through a GradSink, as in a training shard, and
+/// are added into the zeroed leaf grads after.
+ModuleRun RunAndBackprop(const std::vector<Tensor>& tracked,
+                         const std::function<Tensor()>& forward,
+                         bool sink = false) {
+  for (Tensor t : tracked) t.ZeroGrad();
+  Tensor out = forward();
   Rng wrng(4321);
   Tensor w = Tensor::Randn(out.shape(), wrng);
   Tensor loss = tensor::Sum(tensor::Mul(out, w));
@@ -1058,17 +984,104 @@ void ExpectRunsEqual(const ModuleRun& got, const ModuleRun& want,
   EXPECT_EQ(got.out, want.out) << what;
   ASSERT_EQ(got.grads.size(), want.grads.size()) << what;
   for (size_t i = 0; i < want.grads.size(); ++i) {
-    // 0 is the word table; then fwd w_ih, w_hh, bias; then bwd.
     EXPECT_EQ(got.grads[i], want.grads[i]) << what << " tracked tensor " << i;
   }
 }
 
+/// The inputs, then the module's parameters in registration order.
+std::vector<Tensor> TrackedOf(std::vector<Tensor> inputs,
+                              const nn::Module& module) {
+  for (const Tensor& p : module.Parameters()) inputs.push_back(p);
+  return inputs;
+}
+
+TEST_F(KernelFusionParityTest, LinearBitwise) {
+  Rng rng(1234);
+  nn::Linear layer(7, 5, rng);
+  Tensor x = Tensor::Randn({6, 7}, rng, 0.5f, /*requires_grad=*/true);
+  const auto p = layer.NamedParameters();
+  const std::vector<Tensor> tracked = TrackedOf({x}, layer);
+  ExpectRunsEqual(
+      RunAndBackprop(tracked, [&] { return layer.Forward(x); }),
+      RunAndBackprop(tracked,
+                     [&] {
+                       return tensor::AddBias(
+                           tensor::MatMul(x, p.at("weight")), p.at("bias"));
+                     }),
+      "Linear");
+}
+
+/// A ReviewEncoder over an 11-word table, so token ids repeat within and
+/// across slots and the table gradient scatter-adds into shared rows.
+struct EncoderUnderTest {
+  static constexpr int64_t kVocab = 11;
+
+  EncoderUnderTest(int64_t max_tokens, int64_t word_dim, int64_t rev_dim)
+      : rng(555),
+        words(kVocab, word_dim, rng, 0.5f),
+        encoder(&words, max_tokens, rev_dim, rng) {}
+
+  /// The word table, then both directions' w_ih, w_hh and bias.
+  std::vector<Tensor> Tracked() const {
+    std::vector<Tensor> out = {words.table()};
+    for (const Tensor& p : encoder.Parameters()) out.push_back(p);
+    return out;
+  }
+
+  /// ReviewEncoder::Encode as the unfused chain: the same time-major word
+  /// lookup, then each direction's LstmCell::Step over one row slice per
+  /// token.
+  Tensor UnfusedEncode(const std::vector<int64_t>& tokens,
+                       int64_t slots) const {
+    const int64_t steps = encoder.max_tokens();
+    std::vector<int64_t> ids(tokens.size());
+    for (int64_t t = 0; t < steps; ++t) {
+      for (int64_t s = 0; s < slots; ++s) {
+        ids[static_cast<size_t>(t * slots + s)] =
+            tokens[static_cast<size_t>(s * steps + t)];
+      }
+    }
+    const Tensor x = words.Forward(ids);
+    // One slice per step, read by both directions: each step input's grad
+    // sums the backward direction's term, then the forward one, exactly as
+    // the fused nodes' shared x does.
+    std::vector<Tensor> xs;
+    for (int64_t t = 0; t < steps; ++t) {
+      xs.push_back(tensor::SliceRows(x, t * slots, slots));
+    }
+    const nn::LstmCell& fwd_cell = encoder.bilstm().forward_cell();
+    const nn::LstmCell& bwd_cell = encoder.bilstm().backward_cell();
+    nn::LstmCell::State fwd = fwd_cell.InitialState(slots);
+    for (const Tensor& step : xs) fwd = fwd_cell.Step(step, fwd);
+    nn::LstmCell::State bwd = bwd_cell.InitialState(slots);
+    for (auto it = xs.rbegin(); it != xs.rend(); ++it) {
+      bwd = bwd_cell.Step(*it, bwd);
+    }
+    return tensor::ConcatCols({fwd.h, bwd.h});
+  }
+
+  Rng rng;
+  nn::Embedding words;
+  core::ReviewEncoder encoder;
+};
+
+std::vector<int64_t> RandomTokens(int64_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int64_t> ids(static_cast<size_t>(count));
+  for (int64_t& id : ids) {
+    id = static_cast<int64_t>(
+        rng.UniformInt(static_cast<uint64_t>(EncoderUnderTest::kVocab)));
+  }
+  return ids;
+}
+
 TEST_F(KernelFusionParityTest, ReviewEncoderBitwise) {
-  // One LstmSequence node per direction against the eager per-step chain,
-  // values and every gradient. Slot counts cover the kMr=4 GEMM row tails
-  // (1, 3, 5) and a weight-gradient reduction spanning two kKc=128 panels
-  // (130); the (word_dim 5, hidden 35) shape adds a 4H=140 that is not a
-  // kNr multiple, two k-panels in the dh / dX GEMMs and two bias chunks.
+  // One LstmSequence node per direction against the unfused per-step chain,
+  // values and every gradient (0 is the word table; then fwd w_ih, w_hh,
+  // bias; then bwd). Slot counts cover the kMr=4 GEMM row tails (1, 3, 5)
+  // and a weight-gradient reduction spanning two kKc=128 panels (130); the
+  // (word_dim 5, hidden 35) shape adds a 4H=140 that is not a kNr multiple,
+  // two k-panels in the dh / dX GEMMs and two bias chunks.
   struct Dims {
     int64_t word_dim;
     int64_t hidden;
@@ -1085,11 +1098,13 @@ TEST_F(KernelFusionParityTest, ReviewEncoderBitwise) {
               " H=" + std::to_string(dims.hidden) +
               " T=" + std::to_string(max_tokens) +
               " S=" + std::to_string(slots) + " sink=" + std::to_string(sink);
-          tensor::SetFusionEnabled(false);
-          const ModuleRun eager = EncodeAndBackprop(m, tokens, slots, sink);
-          tensor::SetFusionEnabled(true);
-          const ModuleRun fused = EncodeAndBackprop(m, tokens, slots, sink);
-          ExpectRunsEqual(fused, eager, what);
+          const ModuleRun unfused = RunAndBackprop(
+              m.Tracked(), [&] { return m.UnfusedEncode(tokens, slots); },
+              sink);
+          const ModuleRun fused = RunAndBackprop(
+              m.Tracked(), [&] { return m.encoder.Encode(tokens, slots); },
+              sink);
+          ExpectRunsEqual(fused, unfused, what);
         }
       }
     }
@@ -1099,7 +1114,7 @@ TEST_F(KernelFusionParityTest, ReviewEncoderBitwise) {
 TEST_F(KernelFusionParityTest, ReviewEncoderReplayBitwise) {
   // A recorded tape step, then a replayed one on new token ids: the
   // replayed step reuses the recorded LstmSequence closures and must still
-  // match the eager chain bit for bit, with and without a GradSink.
+  // match the unfused chain bit for bit, with and without a GradSink.
   for (int64_t slots : {3, 130}) {
     for (bool sink : {false, true}) {
       EncoderUnderTest m(/*max_tokens=*/16, /*word_dim=*/16, /*rev_dim=*/32);
@@ -1110,16 +1125,18 @@ TEST_F(KernelFusionParityTest, ReviewEncoderReplayBitwise) {
         const std::string what = "S=" + std::to_string(slots) +
                                  " sink=" + std::to_string(sink) +
                                  " step=" + std::to_string(step);
-        tensor::SetFusionEnabled(false);
-        const ModuleRun eager = EncodeAndBackprop(m, tokens, slots, sink);
-        tensor::SetFusionEnabled(true);
+        const ModuleRun unfused = RunAndBackprop(
+            m.Tracked(), [&] { return m.UnfusedEncode(tokens, slots); },
+            sink);
         tape.BeginStep(1);
         ModuleRun taped;
         {
           tensor::BatchTape::Scope scope(&tape);
-          taped = EncodeAndBackprop(m, tokens, slots, sink);
+          taped = RunAndBackprop(
+              m.Tracked(), [&] { return m.encoder.Encode(tokens, slots); },
+              sink);
         }
-        ExpectRunsEqual(taped, eager, what);
+        ExpectRunsEqual(taped, unfused, what);
       }
       const tensor::BatchTape::Stats stats = tape.stats();
       EXPECT_EQ(stats.replay_steps, 1) << "S=" << slots << " sink=" << sink;
@@ -1166,37 +1183,73 @@ TEST_F(KernelFusionParityTest, LstmSequenceReplayPinsDirection) {
 }
 
 TEST_F(KernelFusionParityTest, GruCellBitwise) {
-  ExpectFusedMatchesEager([](Rng& rng, std::vector<Tensor>& tracked) {
-    nn::GruCell cell(5, 4, rng);
-    Tensor x = Tensor::Randn({3, 5}, rng, 0.5f, /*requires_grad=*/true);
-    Tensor h = Tensor::Randn({3, 4}, rng, 0.5f, /*requires_grad=*/true);
-    tracked.insert(tracked.end(), {x, h});
-    for (const Tensor& p : cell.Parameters()) tracked.push_back(p);
-    return cell.Step(x, h);
-  });
+  Rng rng(1234);
+  nn::GruCell cell(5, 4, rng);
+  Tensor x = Tensor::Randn({3, 5}, rng, 0.5f, /*requires_grad=*/true);
+  Tensor h = Tensor::Randn({3, 4}, rng, 0.5f, /*requires_grad=*/true);
+  const auto p = cell.NamedParameters();
+  const int64_t hs = cell.hidden_size();
+  auto unfused = [&] {
+    using namespace tensor;  // NOLINT(build/namespaces) - op-heavy oracle.
+    Tensor gi = AddBias(MatMul(x, p.at("w_ih")), p.at("bias"));
+    Tensor gh = MatMul(h, p.at("w_hh"));
+    Tensor r = Sigmoid(Add(SliceCols(gi, 0, hs), SliceCols(gh, 0, hs)));
+    Tensor z = Sigmoid(Add(SliceCols(gi, hs, hs), SliceCols(gh, hs, hs)));
+    Tensor n = Tanh(
+        Add(SliceCols(gi, 2 * hs, hs), Mul(r, SliceCols(gh, 2 * hs, hs))));
+    // h' = (1 - z) * n + z * h.
+    return Add(Mul(Sub(Tensor::Full({h.dim(0), hs}, 1.0f), z), n), Mul(z, h));
+  };
+  const std::vector<Tensor> tracked = TrackedOf({x, h}, cell);
+  ExpectRunsEqual(RunAndBackprop(tracked, [&] { return cell.Step(x, h); }),
+                  RunAndBackprop(tracked, unfused), "GruCell");
 }
 
 TEST_F(KernelFusionParityTest, FraudAttentionBitwise) {
-  ExpectFusedMatchesEager([](Rng& rng, std::vector<Tensor>& tracked) {
-    nn::FraudAttention attn(6, 4, 4, 5, rng);
-    const int64_t b = 4, s = 3;
-    Tensor rev = Tensor::Randn({b * s, 6}, rng, 0.5f, /*requires_grad=*/true);
-    Tensor uid = Tensor::Randn({b * s, 4}, rng, 0.5f, /*requires_grad=*/true);
-    Tensor iid = Tensor::Randn({b * s, 4}, rng, 0.5f, /*requires_grad=*/true);
-    tracked.insert(tracked.end(), {rev, uid, iid});
-    for (const Tensor& p : attn.Parameters()) tracked.push_back(p);
-    return attn.Forward(rev, uid, iid, s);
-  });
+  Rng rng(1234);
+  nn::FraudAttention attn(6, 4, 4, 5, rng);
+  const int64_t b = 4, s = 3;
+  Tensor rev = Tensor::Randn({b * s, 6}, rng, 0.5f, /*requires_grad=*/true);
+  Tensor uid = Tensor::Randn({b * s, 4}, rng, 0.5f, /*requires_grad=*/true);
+  Tensor iid = Tensor::Randn({b * s, 4}, rng, 0.5f, /*requires_grad=*/true);
+  const auto p = attn.NamedParameters();
+  auto unfused = [&] {
+    using namespace tensor;  // NOLINT(build/namespaces) - op-heavy oracle.
+    Tensor hidden = Tanh(AddBias(
+        Add(Add(MatMul(rev, p.at("w_rev")), MatMul(uid, p.at("w_u"))),
+            MatMul(iid, p.at("w_i"))),
+        p.at("b1")));
+    Tensor scores = AddBias(MatMul(hidden, p.at("h")), p.at("b2"));
+    return Softmax(Reshape(scores, {b, s}));
+  };
+  const std::vector<Tensor> tracked = TrackedOf({rev, uid, iid}, attn);
+  ExpectRunsEqual(
+      RunAndBackprop(tracked, [&] { return attn.Forward(rev, uid, iid, s); }),
+      RunAndBackprop(tracked, unfused), "FraudAttention");
 }
 
 TEST_F(KernelFusionParityTest, FactorizationMachineBitwise) {
-  ExpectFusedMatchesEager([](Rng& rng, std::vector<Tensor>& tracked) {
-    nn::FactorizationMachine fm(9, 4, rng);
-    Tensor x = Tensor::Randn({6, 9}, rng, 0.5f, /*requires_grad=*/true);
-    tracked.push_back(x);
-    for (const Tensor& p : fm.Parameters()) tracked.push_back(p);
-    return fm.Forward(x);
-  });
+  Rng rng(1234);
+  nn::FactorizationMachine fm(9, 4, rng);
+  Tensor x = Tensor::Randn({6, 9}, rng, 0.5f, /*requires_grad=*/true);
+  const auto p = fm.NamedParameters();
+  auto unfused = [&] {
+    using namespace tensor;  // NOLINT(build/namespaces) - op-heavy oracle.
+    Tensor linear = AddBias(MatMul(x, p.at("w")), p.at("w0"));
+    Tensor xv = MatMul(x, p.at("v"));
+    Tensor x2v2 = MatMul(Square(x), Square(p.at("v")));
+    return Add(linear, MulScalar(RowSum(Sub(Square(xv), x2v2)), 0.5f));
+  };
+  const std::vector<Tensor> tracked = TrackedOf({x}, fm);
+  ExpectRunsEqual(RunAndBackprop(tracked, [&] { return fm.Forward(x); }),
+                  RunAndBackprop(tracked, unfused), "FactorizationMachine");
+}
+
+TEST_F(KernelFusionParityTest, FusionCannotBeSwitchedOff) {
+  // Kept only for perfbench's replica step, which passes true.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  tensor::SetFusionEnabled(true);
+  EXPECT_DEATH(tensor::SetFusionEnabled(false), "SetFusionEnabled");
 }
 
 TEST_F(KernelFusionParityTest, AddNBiasActMatchesEagerChainBitwise) {
@@ -1569,63 +1622,60 @@ TEST_F(TailOracleTest, ProductTailMatchesSerialReference) {
       finish(leaves, want);
       want.adam = adam.State();
     }
-    for (bool use_tape : {false, true}) {
-      for (int threads : {1, 4}) {
-        ThreadPool::SetGlobalSize(threads);
-        const std::string at = std::string("l2=") + (with_l2 ? "1" : "0") +
-                               " tape=" + (use_tape ? "1" : "0") +
-                               " threads=" + std::to_string(threads);
-        TailRun got;
-        std::vector<Tensor> leaves = TailLeaves(sizes, 5);
-        nn::Adam adam(leaves, kLr);
-        nn::ShardedStep step(/*shard_size=*/1, use_tape, /*tape_replay=*/true);
-        Rng rng(1);
-        for (int step_index = 0; step_index < kSteps; ++step_index) {
-          nn::ShardedStep::ParamLoss l2_loss;
-          if (with_l2) {
-            l2_loss = [&] {
-              Tensor l2 = nn::L2Penalty(leaves);
-              got.l2.push_back(l2.item());
-              return tensor::MulScalar(l2, kL2Coeff);
-            };
-          }
-          step.Run(
-              kShards, leaves, rng,
-              [&](const nn::ShardedStep::Shard& shard, Rng&) {
-                return TailShardLoss(shard.index, leaves, weights, touches);
-              },
-              l2_loss);
-          got.norms.push_back(nn::ClipGradNorm(leaves, kMaxNorm));
-          adam.Step();
+    for (int threads : {1, 4}) {
+      ThreadPool::SetGlobalSize(threads);
+      const std::string at = std::string("l2=") + (with_l2 ? "1" : "0") +
+                             " threads=" + std::to_string(threads);
+      TailRun got;
+      std::vector<Tensor> leaves = TailLeaves(sizes, 5);
+      nn::Adam adam(leaves, kLr);
+      nn::ShardedStep step(/*shard_size=*/1);
+      Rng rng(1);
+      for (int step_index = 0; step_index < kSteps; ++step_index) {
+        nn::ShardedStep::ParamLoss l2_loss;
+        if (with_l2) {
+          l2_loss = [&] {
+            Tensor l2 = nn::L2Penalty(leaves);
+            got.l2.push_back(l2.item());
+            return tensor::MulScalar(l2, kL2Coeff);
+          };
         }
-        finish(leaves, got);
-        for (const auto& [name, t] : adam.StateTensors()) {
-          if (name != "adam.t") got.adam[name] = t.ToVector();
-        }
-        ASSERT_EQ(got.norms.size(), want.norms.size()) << at;
-        for (size_t i = 0; i < got.norms.size(); ++i) {
-          EXPECT_EQ(Bits64(got.norms[i]), Bits64(want.norms[i]))
-              << at << " norm of step " << i;
-          EXPECT_GT(want.norms[i], kMaxNorm) << "the clip must fire";
-        }
-        ASSERT_EQ(got.l2.size(), want.l2.size()) << at;
-        for (size_t i = 0; i < got.l2.size(); ++i) {
-          EXPECT_EQ(Hex(Bits(got.l2[i])), Hex(Bits(want.l2[i])))
-              << at << " L2 of step " << i;
-        }
-        for (size_t k = 0; k < sizes.size(); ++k) {
-          ExpectSameBits(got.params[k], want.params[k],
-                         at + " param " + std::to_string(k));
-          ExpectSameBits(got.grads[k], want.grads[k],
-                         at + " grad " + std::to_string(k));
-        }
-        ASSERT_EQ(got.adam.size(), want.adam.size()) << at;
-        for (const auto& [name, m] : want.adam) {
-          ExpectSameBits(got.adam[name], m, at + " " + name);
-        }
-        // Leaf 10 gets a gradient only from the L2 term.
-        EXPECT_EQ(got.adam.count("adam.10.m"), with_l2 ? 1u : 0u) << at;
+        step.Run(
+            kShards, leaves, rng,
+            [&](const nn::ShardedStep::Shard& shard, Rng&) {
+              return TailShardLoss(shard.index, leaves, weights, touches);
+            },
+            l2_loss);
+        got.norms.push_back(nn::ClipGradNorm(leaves, kMaxNorm));
+        adam.Step();
       }
+      finish(leaves, got);
+      for (const auto& [name, t] : adam.StateTensors()) {
+        if (name != "adam.t") got.adam[name] = t.ToVector();
+      }
+      ASSERT_EQ(got.norms.size(), want.norms.size()) << at;
+      for (size_t i = 0; i < got.norms.size(); ++i) {
+        EXPECT_EQ(Bits64(got.norms[i]), Bits64(want.norms[i]))
+            << at << " norm of step " << i;
+        EXPECT_GT(want.norms[i], kMaxNorm) << "the clip must fire";
+      }
+      ASSERT_EQ(got.l2.size(), want.l2.size()) << at;
+      for (size_t i = 0; i < got.l2.size(); ++i) {
+        EXPECT_EQ(Hex(Bits(got.l2[i])), Hex(Bits(want.l2[i])))
+            << at << " L2 of step " << i;
+      }
+      for (size_t k = 0; k < sizes.size(); ++k) {
+        ExpectSameBits(got.params[k], want.params[k],
+                       at + " param " + std::to_string(k));
+        ExpectSameBits(got.grads[k], want.grads[k],
+                       at + " grad " + std::to_string(k));
+      }
+      ASSERT_EQ(got.adam.size(), want.adam.size()) << at;
+      for (const auto& [name, m] : want.adam) {
+        ExpectSameBits(got.adam[name], m, at + " " + name);
+      }
+      // Leaf 10 gets a gradient only from the L2 term.
+      EXPECT_EQ(got.adam.count("adam.10.m"), with_l2 ? 1u : 0u) << at;
     }
   }
 }
@@ -1701,8 +1751,9 @@ TEST_F(TailOracleTest, FloatSquareMatchesFloatProductOnStridedSweeps) {
 }
 
 // ---------------------------------------------------------------------------
-// Tape correctness: training on the tape is bitwise identical to eager,
-// survives kill+resume, and stops allocating after warmup.
+// Tape correctness: steps on the tape are bitwise identical to steps built
+// without one, training survives kill+resume, and the arena stops
+// allocating after warmup.
 // ---------------------------------------------------------------------------
 
 class TapeTrainingTest : public KernelTestBase {};
@@ -1775,62 +1826,123 @@ FitResult RunFit(const core::RrreConfig& config, int threads,
   return res;
 }
 
-TEST_F(TapeTrainingTest, TapeMatchesEagerBitwise) {
-  // The headline claim behind `--tape` defaulting on: taped + fused training
-  // reaches the exact bits of the eager path — losses, every parameter, and
-  // downstream predictions — with one lone shard of the whole 16-example
-  // batch and with shards of 4, for serial and parallel pools.
-  for (int64_t shard : {int64_t{16}, int64_t{4}}) {
-    core::RrreConfig eager_config = SmallConfig();
-    eager_config.shard_size = shard;
-    eager_config.use_tape = false;
-    core::RrreConfig taped_config = eager_config;
-    taped_config.use_tape = true;
-    const FitResult eager = RunFit(eager_config, 1);
-    for (int threads : {1, 4}) {
-      const FitResult taped = RunFit(taped_config, threads);
-      EXPECT_EQ(taped.losses, eager.losses)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(taped.params, eager.params)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(taped.ratings, eager.ratings)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(taped.reliabilities, eager.reliabilities)
-          << "shard=" << shard << " threads=" << threads;
+/// Losses (as bits) and every parameter grad of the steps RunModelSteps ran.
+struct ModelSteps {
+  std::vector<uint32_t> losses;
+  std::vector<std::vector<float>> grads;
+};
+
+/// Runs Eq. 15's objective forward and backward through a fresh RrreModel
+/// over three shuffled passes of `corpus` in batches of config.batch_size
+/// (so a full batch and a shorter tail batch), with an Adam step after each.
+/// With `tape` every step runs on that one tape, keyed by its batch size, as
+/// a training shard's steps do; without, each step builds its graph node by
+/// node.
+ModelSteps RunModelSteps(const core::RrreConfig& config,
+                         const data::ReviewDataset& corpus, int threads,
+                         tensor::BatchTape* tape) {
+  ThreadPool::SetGlobalSize(threads);
+  std::vector<std::vector<std::string>> docs;
+  for (const data::Review& r : corpus.reviews()) {
+    docs.push_back(text::Tokenize(r.text));
+  }
+  const text::Vocabulary vocab =
+      text::Vocabulary::Build(docs, config.vocab_min_count);
+  Rng init(7);
+  core::RrreModel model(config, corpus.num_users(), corpus.num_items(),
+                        vocab.size(), init);
+  core::FeatureBuilder features(config, &corpus, &vocab);
+  nn::Adam adam(model.Parameters(), config.lr);
+  const float lam = static_cast<float>(config.lambda);
+  const int64_t n = corpus.size();
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  Rng rng(11);
+  ModelSteps out;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
+    rng.Shuffle(order);
+    for (int64_t start = 0; start < n; start += config.batch_size) {
+      const int64_t end = std::min(n, start + config.batch_size);
+      std::vector<std::pair<int64_t, int64_t>> pairs;
+      std::vector<float> targets, weights;
+      std::vector<int64_t> labels;
+      for (int64_t p = start; p < end; ++p) {
+        const data::Review& r = corpus.review(order[static_cast<size_t>(p)]);
+        pairs.emplace_back(r.user, r.item);
+        targets.push_back(r.rating - 3.0f);
+        labels.push_back(r.is_benign() ? 1 : 0);
+        weights.push_back(r.is_benign() ? 1.0f : 0.0f);
+      }
+      Rng step_rng = rng.Fork();
+      auto loss_bits = [&] {
+        const core::RrreModel::Batch batch = features.Build(pairs, step_rng);
+        const core::RrreModel::Output o =
+            model.Forward(batch, /*training=*/true, &step_rng);
+        Tensor loss = tensor::Add(
+            tensor::MulScalar(
+                tensor::CrossEntropyWithLogits(o.reliability_logits, labels),
+                lam),
+            tensor::MulScalar(
+                nn::WeightedMseLoss(o.rating, targets, weights,
+                                    nn::WeightedMseNorm::kBatchSize),
+                1.0f - lam));
+        loss.Backward();
+        return std::bit_cast<uint32_t>(loss.item());
+      };
+      model.ZeroGrad();
+      if (tape != nullptr) {
+        tape->BeginStep(static_cast<uint64_t>(end - start));
+        tensor::BatchTape::Scope scope(tape);
+        out.losses.push_back(loss_bits());
+      } else {
+        out.losses.push_back(loss_bits());
+      }
+      for (const Tensor& p : model.Parameters()) out.grads.push_back(p.grad());
+      adam.Step();
     }
   }
+  return out;
 }
 
-TEST_F(TapeTrainingTest, TapeMatchesEagerBitwiseAcrossGemmPanels) {
-  // The crosses above train 16 examples x s_i 4 = 64 review slots a step,
-  // so no review-encoder weight-gradient sum spans two kKc-deep GEMM
-  // panels. A 40-example batch trained as one shard sends 160 item slots
-  // through each LstmSequence node: its per-step dW_ih / dW_hh GEMMs must
-  // group every sum by panel exactly as the eager per-step MatMuls do.
-  core::RrreConfig eager_config = SmallConfig();
-  eager_config.batch_size = 40;
-  eager_config.shard_size = eager_config.batch_size;
-  eager_config.use_tape = false;
-  ASSERT_GT(eager_config.batch_size * eager_config.s_i, tensor::kernels::kKc);
-  core::RrreConfig taped_config = eager_config;
-  taped_config.use_tape = true;
-  // 72 reviews: a 40-example batch and a 32-example tail per epoch.
-  const data::ReviewDataset corpus = SmallCorpus(12, 6);
-  const FitResult eager = RunFit(eager_config, 1, corpus);
-  for (int threads : {1, 4}) {
-    const FitResult taped = RunFit(taped_config, threads, corpus);
-    EXPECT_EQ(taped.losses, eager.losses) << "threads=" << threads;
-    EXPECT_EQ(taped.params, eager.params) << "threads=" << threads;
-    EXPECT_EQ(taped.ratings, eager.ratings) << "threads=" << threads;
-    EXPECT_EQ(taped.reliabilities, eager.reliabilities)
-        << "threads=" << threads;
+TEST_F(TapeTrainingTest, TapeMatchesEagerBitwise) {
+  // The claim the tape must keep: recording a step on a BatchTape and
+  // replaying it gives the loss and parameter-grad bits of building the same
+  // graph node by node without one. Batches of 16 (a 14-example tail) send
+  // 64 item slots through each LstmSequence node; batches of 40 (a 32-example
+  // tail) send 160, so the weight-gradient sums span two kKc-deep GEMM
+  // panels. With the module oracles above (KernelFusionParityTest), this
+  // carries the claim that taped, fused training equals unfused eager
+  // training.
+  struct Case {
+    int64_t batch_size, users, items;
+  };
+  for (const Case c : {Case{16, 6, 5}, Case{40, 12, 6}}) {
+    core::RrreConfig config = SmallConfig();
+    config.batch_size = c.batch_size;
+    const data::ReviewDataset corpus = SmallCorpus(c.users, c.items);
+    ASSERT_LT(config.batch_size, corpus.size());
+    const ModelSteps eager = RunModelSteps(config, corpus, 1, nullptr);
+    for (int threads : {1, 4}) {
+      const std::string at = "batch=" + std::to_string(c.batch_size) +
+                             " threads=" + std::to_string(threads);
+      tensor::BatchTape tape;
+      const ModelSteps taped = RunModelSteps(config, corpus, threads, &tape);
+      EXPECT_EQ(taped.losses, eager.losses) << at;
+      ASSERT_EQ(taped.grads.size(), eager.grads.size()) << at;
+      for (size_t i = 0; i < eager.grads.size(); ++i) {
+        EXPECT_EQ(taped.grads[i], eager.grads[i]) << at << " grad " << i;
+      }
+      // Six steps over two batch shapes: each records once, then replays.
+      EXPECT_EQ(tape.stats().replay_steps, 4) << at;
+      EXPECT_EQ(tape.stats().replay_fallbacks, 0) << at;
+    }
   }
+  ASSERT_GT(40 * SmallConfig().s_i, tensor::kernels::kKc);
 }
 
 TEST_F(TapeTrainingTest, TapeRunsAreBitwiseRepeatable) {
   core::RrreConfig config = SmallConfig();
   config.shard_size = 4;
-  config.use_tape = true;
   const FitResult first = RunFit(config, 4);
   const FitResult second = RunFit(config, 4);
   EXPECT_EQ(first.losses, second.losses);
@@ -1845,7 +1957,6 @@ TEST_F(TapeTrainingTest, ArenaStopsAllocatingAfterWarmup) {
   core::RrreConfig config = SmallConfig();
   config.epochs = 4;  // 30 examples / batch 16 -> 2 steps per epoch, 8 total
   config.shard_size = config.batch_size;  // One tape.
-  config.use_tape = true;
   core::RrreTrainer trainer(config);
   trainer.Fit(corpus);
   const tensor::BatchTape::Stats stats = trainer.TapeStats();
@@ -1869,7 +1980,6 @@ TEST_F(TapeTrainingTest, ShardedArenaStopsAllocatingAfterWarmup) {
   core::RrreConfig config = SmallConfig();
   config.epochs = 4;
   config.shard_size = 4;
-  config.use_tape = true;
   core::RrreTrainer trainer(config);
   trainer.Fit(corpus);
   const tensor::BatchTape::Stats stats = trainer.TapeStats();
@@ -1908,7 +2018,6 @@ TEST_F(TapeTrainingTest, KillThenResumeThroughTapeIsBitwise) {
   data::ReviewDataset corpus = SmallCorpus();
   core::RrreConfig config = SmallConfig();
   config.epochs = 4;
-  config.use_tape = true;
 
   core::RrreTrainer straight(config);
   straight.Fit(corpus);
@@ -1936,35 +2045,8 @@ TEST_F(TapeTrainingTest, KillThenResumeThroughTapeIsBitwise) {
 
 // ---------------------------------------------------------------------------
 // Compiled replay: steady-state steps execute the recorded backward schedule
-// with zero DFS work and zero closure rebuilds, bitwise identical both to
-// eager training and to the rebuild-every-step tape.
+// with zero DFS work and zero closure rebuilds.
 // ---------------------------------------------------------------------------
-
-TEST_F(TapeTrainingTest, ReplayMatchesRebuildEveryStepBitwise) {
-  // --tape_replay=false is the escape hatch back to PR 9's rebuild-every-step
-  // tape; flipping it must never change a bit, for one lone shard of the
-  // whole batch and for shards of 4, on serial and parallel pools.
-  for (int64_t shard : {int64_t{16}, int64_t{4}}) {
-    core::RrreConfig rebuild_config = SmallConfig();
-    rebuild_config.shard_size = shard;
-    rebuild_config.use_tape = true;
-    rebuild_config.tape_replay = false;
-    core::RrreConfig replay_config = rebuild_config;
-    replay_config.tape_replay = true;
-    const FitResult rebuild = RunFit(rebuild_config, 1);
-    for (int threads : {1, 4}) {
-      const FitResult replay = RunFit(replay_config, threads);
-      EXPECT_EQ(replay.losses, rebuild.losses)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(replay.params, rebuild.params)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(replay.ratings, rebuild.ratings)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(replay.reliabilities, rebuild.reliabilities)
-          << "shard=" << shard << " threads=" << threads;
-    }
-  }
-}
 
 TEST_F(TapeTrainingTest, ReplaySteadyStateDoesNoGraphWork) {
   // 30 examples / batch 16 -> a 16-example and a 14-example graph per epoch.
@@ -1977,8 +2059,7 @@ TEST_F(TapeTrainingTest, ReplaySteadyStateDoesNoGraphWork) {
     core::RrreConfig config = SmallConfig();
     config.epochs = epochs;
     config.shard_size = shard;
-    config.use_tape = true;
-    core::RrreTrainer trainer(config);
+      core::RrreTrainer trainer(config);
     trainer.Fit(corpus);
     return trainer.TapeStats();
   };
@@ -2005,7 +2086,6 @@ TEST_F(TapeTrainingTest, WholeBatchReplayCountsEveryNonRecordingStep) {
   core::RrreConfig config = SmallConfig();
   config.epochs = 4;  // 8 steps: keys 16 and 14, each recorded exactly once
   config.shard_size = config.batch_size;  // One tape.
-  config.use_tape = true;
   core::RrreTrainer trainer(config);
   trainer.Fit(corpus);
   const tensor::BatchTape::Stats stats = trainer.TapeStats();
@@ -2024,8 +2104,7 @@ TEST_F(TapeTrainingTest, RefitRecordsFreshGraphs) {
   for (int64_t shard : {int64_t{16}, int64_t{8}}) {
     core::RrreConfig config = SmallConfig();
     config.shard_size = shard;
-    config.use_tape = true;
-    core::RrreTrainer once(config);
+      core::RrreTrainer once(config);
     once.Fit(corpus);
     core::RrreTrainer twice(config);
     twice.Fit(corpus);
@@ -2046,7 +2125,6 @@ TEST_F(TapeTrainingTest, LoadIntoFittedTrainerRecordsFreshGraphs) {
   data::ReviewDataset corpus = SmallCorpus();
   core::RrreConfig config = SmallConfig();
   config.epochs = 4;
-  config.use_tape = true;
   const std::string prefix = ::testing::TempDir() + "/tape_reload_ckpt";
   {
     core::RrreConfig half = config;
@@ -2074,7 +2152,6 @@ TEST_F(TapeTrainingTest, StatsCountTailBatchFingerprintImmediately) {
   core::RrreConfig config = SmallConfig();
   config.epochs = 1;  // steps: 16 examples, then the 14-example tail — stop
   config.shard_size = config.batch_size;  // One tape.
-  config.use_tape = true;
   core::RrreTrainer trainer(config);
   trainer.Fit(corpus);
   const tensor::BatchTape::Stats stats = trainer.TapeStats();
@@ -2086,20 +2163,23 @@ TEST_F(TapeTrainingTest, StatsCountTailBatchFingerprintImmediately) {
 TEST_F(TapeTrainingTest, StatsCountOpenStepFingerprintLazily) {
   // Same regression at the tape level: an open step's fingerprint shows up
   // in stats() without waiting for the next BeginStep, and is not double
-  // counted once that step does arrive.
+  // counted once that step does arrive. Each step's node is still held at
+  // the next BeginStep, so no graph seals and every step runs on the plain
+  // arena.
   tensor::BatchTape tape;
-  tape.SetReplayEnabled(false);
   tensor::BatchTape::Scope scope(&tape);
+  Tensor held;
   tape.BeginStep(1);
-  { Tensor a = Tensor::Full({4}, 1.0f); }
+  held = Tensor::Full({4}, 1.0f);
   EXPECT_EQ(tape.stats().distinct_sequences, 1);
   tape.BeginStep(1);
-  { Tensor a = Tensor::Full({4}, 1.0f); }
+  held = Tensor::Full({4}, 1.0f);
   EXPECT_EQ(tape.stats().distinct_sequences, 1) << "same trace counted twice";
   tape.BeginStep(2);
-  { Tensor a = Tensor::Full({3}, 1.0f); }
+  held = Tensor::Full({3}, 1.0f);
   EXPECT_EQ(tape.stats().distinct_sequences, 2)
       << "open tail fingerprint missing";
+  EXPECT_EQ(tape.stats().replay_steps, 0) << "a held graph sealed";
 }
 
 TEST_F(TapeTrainingTest, HeldThenDroppedSubgraphCollapsesInOnePass) {
@@ -2108,8 +2188,9 @@ TEST_F(TapeTrainingTest, HeldThenDroppedSubgraphCollapsesInOnePass) {
   // the next sweep and a dropped chain of N nodes took N sweeps to recycle.
   // Survivors must keep creation order: recycling the head of a dead chain
   // clears its parent edges first, collapsing the whole chain in one pass.
+  // The handle held across the first step keeps its graph from sealing, so
+  // the chain goes through the plain sweep.
   tensor::BatchTape tape;
-  tape.SetReplayEnabled(false);
   tensor::BatchTape::Scope scope(&tape);
   tape.BeginStep(1);
   Tensor held;
@@ -2169,6 +2250,14 @@ TEST_F(TapeTrainingTest, ClearMidRunInvalidatesReplayCacheBitwise) {
   // replay 3 + 3.
   EXPECT_EQ(s_straight.replay_steps, 7);
   EXPECT_EQ(s_cleared.replay_steps, 6);
+}
+
+TEST_F(TapeTrainingTest, ReplayCannotBeSwitchedOff) {
+  // Kept only for perfbench's replica step, which passes true.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  tensor::BatchTape tape;
+  tape.SetReplayEnabled(true);
+  EXPECT_DEATH(tape.SetReplayEnabled(false), "SetReplayEnabled");
 }
 
 TEST_F(TapeTrainingTest, NestedScopesRestoreTheOuterTape) {

@@ -262,49 +262,6 @@ TEST_F(ParallelDeterminismTest, ShardedFitMatchesWholeBatchPath) {
   EXPECT_NEAR(serial.auc, sharded.auc, 1e-5);
 }
 
-TEST_F(ParallelDeterminismTest, ShardedFitBitwiseAcrossThreadCountsEager) {
-  // Same contract as ShardedFitBitwiseAcrossThreadCounts but on the eager
-  // (tape-off) path, so a regression in either executor is caught on its own.
-  core::RrreConfig config = SmallConfig();
-  config.epochs = 2;
-  config.shard_size = 4;
-  config.use_tape = false;
-  const FitResult serial = RunFit(config, 1);
-  for (int threads : {2, 4}) {
-    const FitResult parallel = RunFit(config, threads);
-    EXPECT_EQ(parallel.losses, serial.losses) << "threads=" << threads;
-    EXPECT_EQ(parallel.params, serial.params) << "threads=" << threads;
-    EXPECT_EQ(parallel.ratings, serial.ratings) << "threads=" << threads;
-    EXPECT_EQ(parallel.reliabilities, serial.reliabilities)
-        << "threads=" << threads;
-  }
-}
-
-TEST_F(ParallelDeterminismTest, TapeMatchesEagerAcrossThreadCounts) {
-  // The strongest cross-executor claim: taped+fused training at any thread
-  // count is bitwise identical to eager serial training, on several shards
-  // and on one lone shard as wide as the batch.
-  for (int64_t shard : {int64_t{4}, int64_t{16}}) {
-    core::RrreConfig eager_config = SmallConfig();
-    eager_config.shard_size = shard;
-    eager_config.use_tape = false;
-    const FitResult eager = RunFit(eager_config, 1);
-    core::RrreConfig taped_config = eager_config;
-    taped_config.use_tape = true;
-    for (int threads : {1, 4}) {
-      const FitResult taped = RunFit(taped_config, threads);
-      EXPECT_EQ(taped.losses, eager.losses)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(taped.params, eager.params)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(taped.ratings, eager.ratings)
-          << "shard=" << shard << " threads=" << threads;
-      EXPECT_EQ(taped.reliabilities, eager.reliabilities)
-          << "shard=" << shard << " threads=" << threads;
-    }
-  }
-}
-
 TEST_F(ParallelDeterminismTest, UnevenShardSplitStaysExact) {
   // batch 16 with shard_size 5 -> shards of 5, 5, 5, 1.
   core::RrreConfig config = SmallConfig();
@@ -318,18 +275,17 @@ TEST_F(ParallelDeterminismTest, UnevenShardSplitStaysExact) {
 // ---------------------------------------------------------------------------
 // Baseline-level: DeepCoNN, NARRE and DER train through the same
 // data-parallel step as RRRE, so the same thread-count contract holds for
-// them on one shard and on many, with the tape on and off.
+// them on one shard and on many.
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<baselines::NeuralRatingBaseline> MakeBaseline(
-    const std::string& name, int64_t shard_size, bool use_tape) {
+    const std::string& name, int64_t shard_size) {
   baselines::NeuralRatingBaseline::CommonConfig common;
   common.word_dim = 8;
   common.epochs = 2;
   common.batch_size = 16;
   common.pretrain_epochs = 1;
   common.shard_size = shard_size;
-  common.use_tape = use_tape;
   if (name == "deepconn") {
     baselines::DeepCoNN::Config c;
     c.common = common;
@@ -377,17 +333,14 @@ TEST_F(ParallelDeterminismTest, NeuralBaselinesBitwiseAcrossThreadCounts) {
   ASSERT_FALSE(held_out.empty());
   for (const char* name : {"deepconn", "narre", "der"}) {
     for (int64_t shard : {int64_t{16}, int64_t{4}}) {
-      for (bool tape : {true, false}) {
-        std::vector<std::vector<double>> preds;
-        for (int threads : {1, 4}) {
-          ThreadPool::SetGlobalSize(threads);
-          auto model = MakeBaseline(name, shard, tape);
-          model->Fit(train);
-          preds.push_back(model->PredictRatings(held_out));
-        }
-        EXPECT_EQ(preds[1], preds[0])
-            << name << " shard=" << shard << " tape=" << tape;
+      std::vector<std::vector<double>> preds;
+      for (int threads : {1, 4}) {
+        ThreadPool::SetGlobalSize(threads);
+        auto model = MakeBaseline(name, shard);
+        model->Fit(train);
+        preds.push_back(model->PredictRatings(held_out));
       }
+      EXPECT_EQ(preds[1], preds[0]) << name << " shard=" << shard;
     }
   }
 }

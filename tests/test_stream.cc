@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -561,6 +562,56 @@ TEST(DriverTest, HotReloadConvergesALiveServer) {
   EXPECT_EQ(rolls, 2);
   const serve::ServerStats stats = server.value()->stats();
   EXPECT_EQ(stats.batcher.reloads, 2);
+  server.value()->Shutdown();
+}
+
+TEST(DriverTest, ReloadThatServesAnotherFingerprintFailsAtOnce) {
+  // A server started on generation 0's own checkpoint path, not on the
+  // `current` link: its RELOAD succeeds but reloads generation 0, so the
+  // first STATS after the ack already shows the roll went wrong. Step must
+  // fail then, naming both fingerprints and the quarantined count, not poll
+  // until reload_timeout_ms.
+  const AdversaryModel arena(TinyArenaConfig());
+  const std::string root = TempRoot("wrong_fingerprint");
+  stream::StreamOptions options = TinyStreamOptions(root);
+  options.build_store = true;
+  {
+    stream::StreamDriver bootstrap(&arena, options);
+    ASSERT_TRUE(bootstrap.Recover().ok());
+    ASSERT_TRUE(bootstrap.Step(nullptr).ok());
+  }
+  serve::ServerOptions server_options;
+  server_options.config = options.config;
+  server_options.model_prefix = stream::GenerationDir(root, 0) + "/ckpt";
+  server_options.store_path =
+      stream::GenerationDir(root, 0) + "/ckpt.tower_store";
+  server_options.port = 0;
+  auto server = serve::Server::Start(server_options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const uint64_t served = ScrapeFingerprint(server.value()->port());
+
+  options.reload_endpoints = {{"127.0.0.1", server.value()->port()}};
+  options.reload_timeout_ms = 30000;
+  stream::StreamDriver driver(&arena, options);
+  ASSERT_TRUE(driver.Recover().ok());
+  const auto start = std::chrono::steady_clock::now();
+  const common::Status status = driver.Step(nullptr);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(status.ok());
+  EXPECT_LT(waited, std::chrono::milliseconds(options.reload_timeout_ms / 3))
+      << "Step waited for the reload deadline";
+  EXPECT_EQ(server.value()->stats().batcher.reloads, 1);
+  auto published = core::CheckpointParamsFingerprint(
+      stream::GenerationDir(root, 1) + "/ckpt");
+  ASSERT_TRUE(published.ok());
+  ASSERT_NE(published.value(), served);
+  const std::string message = status.message();
+  EXPECT_NE(message.find(std::to_string(served)), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(std::to_string(published.value())),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("quarantined=0"), std::string::npos) << message;
   server.value()->Shutdown();
 }
 

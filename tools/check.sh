@@ -23,11 +23,13 @@
 # legs ran so CI logs show the coverage at a glance.
 #
 # The kernels leg runs the blocked-GEMM/conv parity oracles, the gradcheck
-# sweeps, the fused-vs-eager bitwise suites and the batch-tape training tests
-# (including the compiled-replay suites: schedule caching, fallback and the
-# replay-vs-rebuild bitwise crosses) under both AddressSanitizer and
-# UndefinedBehaviorSanitizer (the packed-panel kernels do the most pointer
-# arithmetic in the codebase), plus a repeat-until-fail guard over the
+# sweeps, the fusion oracle suites (each fused nn module against its
+# unfused per-op chain, bit for bit) and the batch-tape training tests
+# (including the compiled-replay suites: schedule caching, fallback, and
+# taped-and-replayed model steps against the same steps built without a
+# tape) under both AddressSanitizer and UndefinedBehaviorSanitizer (the
+# packed-panel kernels do the most pointer arithmetic in the codebase),
+# plus a repeat-until-fail guard over the
 # tape/replay suites and the training-tail oracle, and the TSan leg runs the
 # same `kernels` label to vet the per-shard tape executors and the tail's
 # element-range passes — by label, not suite name, so a suite added to
@@ -204,7 +206,9 @@ else
   # thread counts), the per-tier evasion properties, the versioned publish
   # layout's crash-safety (manifest written last, torn generations skipped),
   # kill-then-resume bitwise identity of the retrain driver, live hot-reload
-  # convergence, and the router quarantine gauge in the METRICS scrape.
+  # convergence, an endpoint that reloads but serves another fingerprint
+  # (the driver fails at once instead of waiting out its deadline), and the
+  # router quarantine gauge in the METRICS scrape.
   (cd build-asan && ctest --output-on-failure --no-tests=error -L stream)
   LEGS_RUN+=(stream)
 fi
@@ -222,10 +226,10 @@ else
   # parity, tanh's and exp's golden libm bits and the 8-lane-vs-scalar tanh
   # and sigmoid sweeps (sized to finish in seconds here), the LSTM row
   # kernels against their scalar oracle, nested-vs-top-level MatMul bits,
-  # the frozen-argmax conv gradient, fused-vs-eager
-  # bitwise identity for every module with a fused path, bitwise
-  # tape-vs-eager training, the compiled-replay suite (replay-vs-rebuild
-  # bitwise crosses, fingerprint accounting, Clear() invalidation,
+  # the frozen-argmax conv gradient, the fusion oracles (every fused nn
+  # module against the unfused chain built from its own parameters, values
+  # and every grad), bitwise taped-vs-untaped model steps, the
+  # compiled-replay suite (fingerprint accounting, Clear() invalidation,
   # steady-state zero-rebuild counters), and the training-tail oracle (the
   # serial L2 graph, sink merge, clip and Adam against the product's
   # element-range passes, plus the strided FloatSquare sweeps).
@@ -237,11 +241,12 @@ else
   cmake --build build-ubsan -j "$(nproc)" --target test_kernels >/dev/null
   (cd build-ubsan && ctest --output-on-failure --no-tests=error -L kernels)
   # Deflake guard (same pattern as the serving-socket guard): the tape/replay
-  # training tests, the thread-count crosses and the training-tail oracle
-  # drive the data-parallel step and its tail on a parallel pool under -j,
-  # including a lone shard whose kernels fan out while its GradSink and tape
-  # scopes are active; rerun them five times so a reintroduced scheduling
-  # race or a replay-fallback flake fails the leg instead of landing.
+  # model-step and training tests, the thread-count crosses and the
+  # training-tail oracle drive the data-parallel step and its tail on a
+  # parallel pool under -j, including a lone shard whose kernels fan out
+  # while its GradSink and tape scopes are active; rerun them five times so
+  # a reintroduced scheduling race or a replay-fallback flake fails the leg
+  # instead of landing.
   (cd build && ctest --output-on-failure --no-tests=error \
     -R "TapeTrainingTest|ParallelDeterminismTest|TailOracleTest" \
     --repeat until-fail:5 -j "$(nproc)")

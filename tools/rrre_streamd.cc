@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
                   "comma list of host:port serving processes to hot-reload "
                   "after each publish (rrre_served or rrre_routed)");
   flags.AddInt("reload_timeout_ms", 15000,
-               "per-endpoint reload + fingerprint-convergence deadline");
+               "per-endpoint send/receive deadline for RELOAD and the STATS "
+               "check after it");
   flags.AddString("telemetry", "", "per-epoch/per-generation JSONL path");
   flags.AddBool("store", true, "build a tower store with each generation");
   flags.AddInt("max_steps", 0, "stop after this many steps (0 = run dry)");
