@@ -207,8 +207,8 @@ else
   # layout's crash-safety (manifest written last, torn generations skipped),
   # kill-then-resume bitwise identity of the retrain driver, live hot-reload
   # convergence, an endpoint that reloads but serves another fingerprint
-  # (the driver fails at once instead of waiting out its deadline), and the
-  # router quarantine gauge in the METRICS scrape.
+  # (`StreamDriver` fails at once instead of waiting out its deadline), and
+  # the router quarantine gauge in the METRICS scrape.
   (cd build-asan && ctest --output-on-failure --no-tests=error -L stream)
   LEGS_RUN+=(stream)
 fi
