@@ -20,6 +20,7 @@
 #include "core/review_encoder.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
+#include "model_steps.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/fm.h"
@@ -1826,118 +1827,43 @@ FitResult RunFit(const core::RrreConfig& config, int threads,
   return res;
 }
 
-/// Losses (as bits) and every parameter grad of the steps RunModelSteps ran.
-struct ModelSteps {
-  std::vector<uint32_t> losses;
-  std::vector<std::vector<float>> grads;
-};
-
-/// Runs Eq. 15's objective forward and backward through a fresh RrreModel
-/// over three shuffled passes of `corpus` in batches of config.batch_size
-/// (so a full batch and a shorter tail batch), with an Adam step after each.
-/// With `tape` every step runs on that one tape, keyed by its batch size, as
-/// a training shard's steps do; without, each step builds its graph node by
-/// node.
-ModelSteps RunModelSteps(const core::RrreConfig& config,
-                         const data::ReviewDataset& corpus, int threads,
-                         tensor::BatchTape* tape) {
-  ThreadPool::SetGlobalSize(threads);
-  std::vector<std::vector<std::string>> docs;
-  for (const data::Review& r : corpus.reviews()) {
-    docs.push_back(text::Tokenize(r.text));
+/// The claim the tape must keep: recording a step on a BatchTape and
+/// replaying it gives the loss and parameter-grad bits of building the same
+/// graph node by node without one, at 1 and 4 threads. With the module
+/// oracles above (KernelFusionParityTest), this carries the claim that
+/// taped, fused training equals unfused eager training.
+void ExpectTapeMatchesEager(const core::RrreConfig& config,
+                            const data::ReviewDataset& corpus) {
+  ASSERT_LT(config.batch_size, corpus.size());
+  const test::ModelSteps eager =
+      test::RunModelSteps(config, corpus, 1, test::EagerPass());
+  for (int threads : {1, 4}) {
+    const std::string at = "threads=" + std::to_string(threads);
+    tensor::BatchTape tape;
+    test::ExpectSameSteps(
+        test::RunModelSteps(config, corpus, threads, test::TapePass(&tape)),
+        eager, at);
+    // Six steps over two batch shapes: each records once, then replays.
+    EXPECT_EQ(tape.stats().replay_steps, 4) << at;
+    EXPECT_EQ(tape.stats().replay_fallbacks, 0) << at;
   }
-  const text::Vocabulary vocab =
-      text::Vocabulary::Build(docs, config.vocab_min_count);
-  Rng init(7);
-  core::RrreModel model(config, corpus.num_users(), corpus.num_items(),
-                        vocab.size(), init);
-  core::FeatureBuilder features(config, &corpus, &vocab);
-  nn::Adam adam(model.Parameters(), config.lr);
-  const float lam = static_cast<float>(config.lambda);
-  const int64_t n = corpus.size();
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  Rng rng(11);
-  ModelSteps out;
-  for (int pass = 0; pass < 3; ++pass) {
-    for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-    rng.Shuffle(order);
-    for (int64_t start = 0; start < n; start += config.batch_size) {
-      const int64_t end = std::min(n, start + config.batch_size);
-      std::vector<std::pair<int64_t, int64_t>> pairs;
-      std::vector<float> targets, weights;
-      std::vector<int64_t> labels;
-      for (int64_t p = start; p < end; ++p) {
-        const data::Review& r = corpus.review(order[static_cast<size_t>(p)]);
-        pairs.emplace_back(r.user, r.item);
-        targets.push_back(r.rating - 3.0f);
-        labels.push_back(r.is_benign() ? 1 : 0);
-        weights.push_back(r.is_benign() ? 1.0f : 0.0f);
-      }
-      Rng step_rng = rng.Fork();
-      auto loss_bits = [&] {
-        const core::RrreModel::Batch batch = features.Build(pairs, step_rng);
-        const core::RrreModel::Output o =
-            model.Forward(batch, /*training=*/true, &step_rng);
-        Tensor loss = tensor::Add(
-            tensor::MulScalar(
-                tensor::CrossEntropyWithLogits(o.reliability_logits, labels),
-                lam),
-            tensor::MulScalar(
-                nn::WeightedMseLoss(o.rating, targets, weights,
-                                    nn::WeightedMseNorm::kBatchSize),
-                1.0f - lam));
-        loss.Backward();
-        return std::bit_cast<uint32_t>(loss.item());
-      };
-      model.ZeroGrad();
-      if (tape != nullptr) {
-        tape->BeginStep(static_cast<uint64_t>(end - start));
-        tensor::BatchTape::Scope scope(tape);
-        out.losses.push_back(loss_bits());
-      } else {
-        out.losses.push_back(loss_bits());
-      }
-      for (const Tensor& p : model.Parameters()) out.grads.push_back(p.grad());
-      adam.Step();
-    }
-  }
-  return out;
 }
 
 TEST_F(TapeTrainingTest, TapeMatchesEagerBitwise) {
-  // The claim the tape must keep: recording a step on a BatchTape and
-  // replaying it gives the loss and parameter-grad bits of building the same
-  // graph node by node without one. Batches of 16 (a 14-example tail) send
-  // 64 item slots through each LstmSequence node; batches of 40 (a 32-example
-  // tail) send 160, so the weight-gradient sums span two kKc-deep GEMM
-  // panels. With the module oracles above (KernelFusionParityTest), this
-  // carries the claim that taped, fused training equals unfused eager
-  // training.
-  struct Case {
-    int64_t batch_size, users, items;
-  };
-  for (const Case c : {Case{16, 6, 5}, Case{40, 12, 6}}) {
-    core::RrreConfig config = SmallConfig();
-    config.batch_size = c.batch_size;
-    const data::ReviewDataset corpus = SmallCorpus(c.users, c.items);
-    ASSERT_LT(config.batch_size, corpus.size());
-    const ModelSteps eager = RunModelSteps(config, corpus, 1, nullptr);
-    for (int threads : {1, 4}) {
-      const std::string at = "batch=" + std::to_string(c.batch_size) +
-                             " threads=" + std::to_string(threads);
-      tensor::BatchTape tape;
-      const ModelSteps taped = RunModelSteps(config, corpus, threads, &tape);
-      EXPECT_EQ(taped.losses, eager.losses) << at;
-      ASSERT_EQ(taped.grads.size(), eager.grads.size()) << at;
-      for (size_t i = 0; i < eager.grads.size(); ++i) {
-        EXPECT_EQ(taped.grads[i], eager.grads[i]) << at << " grad " << i;
-      }
-      // Six steps over two batch shapes: each records once, then replays.
-      EXPECT_EQ(tape.stats().replay_steps, 4) << at;
-      EXPECT_EQ(tape.stats().replay_fallbacks, 0) << at;
-    }
-  }
-  ASSERT_GT(40 * SmallConfig().s_i, tensor::kernels::kKc);
+  // Batches of 16 (a 14-example tail) send 64 item slots through each
+  // LstmSequence node.
+  ExpectTapeMatchesEager(SmallConfig(), SmallCorpus());
+}
+
+TEST_F(TapeTrainingTest, TapeMatchesEagerBitwiseAcrossGemmPanels) {
+  // Batches of 40 (72 reviews: a 32-example tail) send 160 item slots
+  // through each LstmSequence node, so the per-step dW_ih / dW_hh sums span
+  // two kKc-deep GEMM panels and must group by panel exactly as the eager
+  // per-step MatMuls do.
+  core::RrreConfig config = SmallConfig();
+  config.batch_size = 40;
+  ASSERT_GT(config.batch_size * config.s_i, tensor::kernels::kKc);
+  ExpectTapeMatchesEager(config, SmallCorpus(12, 6));
 }
 
 TEST_F(TapeTrainingTest, TapeRunsAreBitwiseRepeatable) {

@@ -16,6 +16,8 @@
 #include "core/trainer.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
+#include "model_steps.h"
+#include "nn/sharded_step.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -260,6 +262,43 @@ TEST_F(ParallelDeterminismTest, ShardedFitMatchesWholeBatchPath) {
   }
   EXPECT_NEAR(serial.brmse, sharded.brmse, 1e-5);
   EXPECT_NEAR(serial.auc, sharded.auc, 1e-5);
+}
+
+TEST_F(ParallelDeterminismTest, ShardedFitBitwiseAcrossThreadCountsEager) {
+  // Same contract as ShardedFitBitwiseAcrossThreadCounts on the tape-less
+  // executor that inference runs and that the oracle below is built on:
+  // model_steps.h's shards of 4, each graph built node by node, so a
+  // regression in either executor is caught on its own.
+  const data::ReviewDataset corpus = SmallCorpus();
+  const test::ModelSteps serial =
+      test::RunModelSteps(SmallConfig(), corpus, 1, test::EagerShardedPass(4));
+  for (int threads : {2, 4}) {
+    test::ExpectSameSteps(test::RunModelSteps(SmallConfig(), corpus, threads,
+                                              test::EagerShardedPass(4)),
+                          serial, "threads=" + std::to_string(threads));
+  }
+}
+
+TEST_F(ParallelDeterminismTest, TapeMatchesEagerAcrossThreadCounts) {
+  // The strongest cross-executor claim: ShardedStep's replayed shard tapes
+  // at any thread count give the loss and grad bits of the same shards built
+  // node by node on one thread, on several shards and on one lone shard as
+  // wide as the batch.
+  const data::ReviewDataset corpus = SmallCorpus();
+  for (int64_t shard : {int64_t{4}, int64_t{16}}) {
+    const test::ModelSteps eager = test::RunModelSteps(
+        SmallConfig(), corpus, 1, test::EagerShardedPass(shard));
+    for (int threads : {1, 4}) {
+      const std::string at = "shard=" + std::to_string(shard) +
+                             " threads=" + std::to_string(threads);
+      nn::ShardedStep step(shard);
+      test::ExpectSameSteps(test::RunModelSteps(SmallConfig(), corpus, threads,
+                                                test::ShardedPass(&step)),
+                            eager, at);
+      EXPECT_GT(step.TapeStats().replay_steps, 0) << at;
+      EXPECT_EQ(step.TapeStats().replay_fallbacks, 0) << at;
+    }
+  }
 }
 
 TEST_F(ParallelDeterminismTest, UnevenShardSplitStaysExact) {
