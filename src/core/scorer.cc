@@ -9,49 +9,8 @@ namespace rrre::core {
 
 using tensor::Tensor;
 
-void BatchScorer::ProfileCache::Touch(int64_t id) {
-  auto it = index_.find(id);
-  RRRE_CHECK(it != index_.end());
-  lru_.splice(lru_.begin(), lru_, it->second);
-}
-
-const std::vector<float>& BatchScorer::ProfileCache::At(int64_t id) const {
-  auto it = index_.find(id);
-  RRRE_CHECK(it != index_.end()) << "profile for id " << id << " not cached";
-  return it->second->second;
-}
-
-int64_t BatchScorer::ProfileCache::Insert(int64_t id,
-                                          std::vector<float> profile,
-                                          int64_t cap) {
-  auto it = index_.find(id);
-  if (it != index_.end()) {
-    it->second->second = std::move(profile);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return 0;
-  }
-  lru_.emplace_front(id, std::move(profile));
-  index_[id] = lru_.begin();
-  int64_t evicted = 0;
-  while (cap > 0 && static_cast<int64_t>(index_.size()) > cap) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evicted;
-  }
-  return evicted;
-}
-
-void BatchScorer::ProfileCache::Clear() {
-  lru_.clear();
-  index_.clear();
-}
-
 BatchScorer::BatchScorer(RrreTrainer* trainer)
-    : BatchScorer(trainer, Options()) {}
-
-BatchScorer::BatchScorer(RrreTrainer* trainer, Options options)
     : trainer_(trainer),
-      options_(options),
       features_(trainer->config(), &trainer->train_data(),
                 &trainer->vocab()),
       rng_(trainer->config().seed ^ 0xca11ab1eULL),
@@ -59,7 +18,6 @@ BatchScorer::BatchScorer(RrreTrainer* trainer, Options options)
       params_version_(trainer->params_version()) {
   RRRE_CHECK(trainer != nullptr);
   RRRE_CHECK(trainer->fitted()) << "fit the trainer before scoring";
-  RRRE_CHECK_GE(options_.tower_cache_cap, 0);
 }
 
 void BatchScorer::AttachStore(std::shared_ptr<const TowerStore> store) {
@@ -71,61 +29,31 @@ void BatchScorer::AttachStore(std::shared_ptr<const TowerStore> store) {
   store_ = std::move(store);
 }
 
-void BatchScorer::Invalidate() {
-  // A store is bound to one set of parameters just like the caches are; the
-  // caller re-attaches a freshly validated store after a reload.
-  store_.reset();
-  user_profiles_.Clear();
-  item_profiles_.Clear();
-  // Re-bind the feature builder too: Fit and Load replace the trainer's
-  // corpus and vocabulary outright, so the pointers captured at
-  // construction would dangle.
-  features_ = FeatureBuilder(trainer_->config(), &trainer_->train_data(),
-                             &trainer_->vocab());
-  params_version_ = trainer_->params_version();
-}
-
 void BatchScorer::CheckNotStale() const {
   RRRE_CHECK_EQ(trainer_->params_version(), params_version_)
       << "BatchScorer caches are stale: the trainer's parameters changed "
-         "since this scorer was created — call Invalidate() first";
-}
-
-int64_t BatchScorer::EffectiveCap() const {
-  if (options_.tower_cache_cap == 0) return 0;
-  return std::max(options_.tower_cache_cap, trainer_->config().batch_size);
+         "since this scorer was created — build a new scorer";
 }
 
 void BatchScorer::PrimeUsers(const std::vector<int64_t>& users) {
-  PrimeTower(users, /*user_tower=*/true, user_profiles_, user_stats_);
+  PrimeTower(users, /*user_tower=*/true, user_profiles_);
 }
 
 void BatchScorer::PrimeItems(const std::vector<int64_t>& items) {
-  PrimeTower(items, /*user_tower=*/false, item_profiles_, item_stats_);
+  PrimeTower(items, /*user_tower=*/false, item_profiles_);
 }
 
 void BatchScorer::PrimeTower(const std::vector<int64_t>& ids, bool user_tower,
-                             ProfileCache& cache, CacheStats& stats) {
+                             ProfileCache& cache) {
   CheckNotStale();
   if (store_ != nullptr) return;  // Every profile is already materialized.
-  std::vector<int64_t> distinct = ids;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
   std::vector<int64_t> missing;
-  for (int64_t id : distinct) {
-    if (cache.Contains(id)) {
-      // Touching hits first moves the whole working set to the MRU end, so
-      // the inserts below can only evict ids outside this Prime call.
-      ++stats.hits;
-      cache.Touch(id);
-    } else {
-      ++stats.misses;
-      missing.push_back(id);
-    }
+  for (int64_t id : ids) {
+    if (cache.count(id) == 0) missing.push_back(id);
   }
+  std::sort(missing.begin(), missing.end());
+  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
   const int64_t chunk_size = trainer_->config().batch_size;
-  const int64_t cap = EffectiveCap();
   for (size_t start = 0; start < missing.size();
        start += static_cast<size_t>(chunk_size)) {
     const size_t end =
@@ -147,7 +75,7 @@ void BatchScorer::PrimeTower(const std::vector<int64_t>& ids, bool user_tower,
       for (int64_t c = 0; c < profile_dim_; ++c) {
         p[static_cast<size_t>(c)] = profiles.at(row, c);
       }
-      stats.evictions += cache.Insert(missing[i], std::move(p), cap);
+      cache.emplace(missing[i], std::move(p));
     }
   }
 }
@@ -173,8 +101,8 @@ RrreTrainer::Predictions BatchScorer::Score(
     std::vector<float> xu(static_cast<size_t>(b * profile_dim_));
     std::vector<float> yi(static_cast<size_t>(b * profile_dim_));
     if (store_ != nullptr) {
-      // Store-backed fast path: copy rows straight out of the mapped file —
-      // no tower work, no cache traffic. The store holds exactly the bytes
+      // Store-backed fast path: copy rows straight out of the store — no
+      // tower work, no cache traffic. The store holds exactly the bytes
       // the towers would produce, so the scores below are bitwise identical
       // to the live-tower path.
       for (int64_t e = 0; e < b; ++e) {
@@ -184,17 +112,13 @@ RrreTrainer::Predictions BatchScorer::Score(
         std::copy(ip, ip + profile_dim_, yi.begin() + e * profile_dim_);
       }
     } else {
-      // Prime per chunk, not per call: a chunk holds at most chunk_size
-      // distinct ids and the caches hold at least that many (EffectiveCap),
-      // so nothing this chunk needs can be evicted before it is read back
-      // below.
       PrimeUsers(chunk_users);
       PrimeItems(chunk_items);
       for (int64_t e = 0; e < b; ++e) {
         const auto& up =
-            user_profiles_.At(chunk_users[static_cast<size_t>(e)]);
+            user_profiles_.at(chunk_users[static_cast<size_t>(e)]);
         const auto& ip =
-            item_profiles_.At(chunk_items[static_cast<size_t>(e)]);
+            item_profiles_.at(chunk_items[static_cast<size_t>(e)]);
         std::copy(up.begin(), up.end(), xu.begin() + e * profile_dim_);
         std::copy(ip.begin(), ip.end(), yi.begin() + e * profile_dim_);
       }

@@ -2,7 +2,6 @@
 #define RRRE_CORE_SCORER_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -27,54 +26,26 @@ namespace rrre::core {
 ///
 /// Results are numerically identical to RrreTrainer::PredictPairs.
 ///
-/// The caches can be bounded (Options::tower_cache_cap) for long-lived
-/// servers: entries are evicted in least-recently-used order, and because a
-/// profile is a pure function of the id and the bound parameters (the
-/// serving default kLatest history sampling draws nothing from the Rng),
-/// recomputing an evicted profile is bitwise identical to the cached copy —
-/// capped and unbounded scorers produce identical scores.
+/// On-demand towers serve offline scoring (rrre_serve); their cache is
+/// unbounded and lives as long as the scorer. Online serving always scores
+/// from a TowerStore (AttachStore), which holds every profile up front.
 class BatchScorer {
  public:
-  struct Options {
-    /// Maximum cached profiles per tower (users and items independently);
-    /// 0 = unbounded, preserving offline rrre_serve behaviour. Positive caps
-    /// are clamped up to the scoring chunk size (config batch_size): Score
-    /// primes one chunk at a time and a smaller cap could evict a profile
-    /// the current chunk still needs.
-    int64_t tower_cache_cap = 0;
-  };
-
-  /// Cumulative cache-effectiveness counters for one tower. A Prime call
-  /// counts each distinct requested id as one hit or one miss.
-  struct CacheStats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-  };
-
   /// `trainer` must be fitted and outlive the scorer. Cached profiles snap
   /// the model's parameters at construction time: the scorer records the
   /// trainer's params_version() and every scoring call checks it, so using
   /// a scorer after further training (or a checkpoint Load) is a hard error
-  /// rather than silently stale scores. Call Invalidate() to drop the
-  /// caches and re-bind to the current parameters.
+  /// rather than silently stale scores. Build a new scorer instead.
   explicit BatchScorer(RrreTrainer* trainer);
-  BatchScorer(RrreTrainer* trainer, Options options);
-
-  /// Drops all cached profiles and re-snapshots the trainer's parameter
-  /// version — call after the trainer's parameters changed (more training,
-  /// a checkpoint Load) to keep using the same scorer.
-  void Invalidate();
 
   /// Switches Score to store-backed mode: profiles are read straight out of
-  /// the mapped TowerStore instead of being computed by the towers — the
+  /// the TowerStore instead of being computed by the towers — the
   /// FM-head-over-two-dot-products fast path, O(dim) per pair with zero
   /// tower work. The store must have been built from the trainer's current
-  /// parameters (use MapTowerStoreForCheckpoint) and cover its corpus;
-  /// geometry is checked here, parameter identity is the caller's contract.
-  /// Because the store holds exactly the bytes the towers produce, store
-  /// -backed scores are bitwise identical to live-tower scores.
-  /// Invalidate() detaches the store along with the caches.
+  /// parameters (MapTowerStoreForCheckpoint or ComputeTowerStore) and cover
+  /// its corpus; geometry is checked here, parameter identity is the
+  /// caller's contract. Because the store holds exactly the bytes the towers
+  /// produce, store-backed scores are bitwise identical to live-tower scores.
   void AttachStore(std::shared_ptr<const TowerStore> store);
   bool store_backed() const { return store_ != nullptr; }
 
@@ -94,51 +65,20 @@ class BatchScorer {
   int64_t cached_users() const { return user_profiles_.size(); }
   int64_t cached_items() const { return item_profiles_.size(); }
 
-  const CacheStats& user_cache_stats() const { return user_stats_; }
-  const CacheStats& item_cache_stats() const { return item_stats_; }
-
  private:
-  /// LRU map from id to cached tower profile: an unordered_map index over an
-  /// intrusive recency list (front = most recently used). Insertions evict
-  /// from the back once `cap` entries are held.
-  class ProfileCache {
-   public:
-    bool Contains(int64_t id) const { return index_.count(id) != 0; }
-
-    /// Marks an existing entry most-recently-used.
-    void Touch(int64_t id);
-
-    /// Profile of a cached id. Requires Contains(id).
-    const std::vector<float>& At(int64_t id) const;
-
-    /// Inserts `id` as most-recently-used and evicts least-recently-used
-    /// entries down to `cap` (0 = unbounded). Returns evictions performed.
-    int64_t Insert(int64_t id, std::vector<float> profile, int64_t cap);
-
-    void Clear();
-    int64_t size() const { return static_cast<int64_t>(index_.size()); }
-
-   private:
-    using Entry = std::pair<int64_t, std::vector<float>>;
-    std::list<Entry> lru_;  ///< front = MRU, back = next eviction victim.
-    std::unordered_map<int64_t, std::list<Entry>::iterator> index_;
-  };
+  /// Tower profile per id.
+  using ProfileCache = std::unordered_map<int64_t, std::vector<float>>;
 
   /// Fatal unless the trainer's parameters are still the ones the cached
   /// profiles were computed from.
   void CheckNotStale() const;
 
-  /// tower_cache_cap clamped up to the chunk size (0 stays unbounded).
-  int64_t EffectiveCap() const;
-
-  /// PrimeUsers (`user_tower`) or PrimeItems: counts hits and misses in
-  /// `stats`, then runs the tower over the missing ids in batch_size chunks
-  /// and inserts their profiles into `cache`.
+  /// PrimeUsers (`user_tower`) or PrimeItems: runs the tower over the ids
+  /// missing from `cache` in batch_size chunks and inserts their profiles.
   void PrimeTower(const std::vector<int64_t>& ids, bool user_tower,
-                  ProfileCache& cache, CacheStats& stats);
+                  ProfileCache& cache);
 
   RrreTrainer* trainer_;
-  Options options_;
   /// Non-null in store-backed mode; shared so a hot reload can swap the
   /// batcher's store while an old scorer still drains.
   std::shared_ptr<const TowerStore> store_;
@@ -149,8 +89,6 @@ class BatchScorer {
   int64_t params_version_;
   ProfileCache user_profiles_;
   ProfileCache item_profiles_;
-  CacheStats user_stats_;
-  CacheStats item_stats_;
 };
 
 }  // namespace rrre::core

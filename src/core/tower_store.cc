@@ -242,12 +242,11 @@ void ComputeAllProfiles(const RrreTrainer& trainer,
 
 }  // namespace
 
-Result<TowerStoreBuildStats> BuildTowerStore(const RrreTrainer& trainer,
-                                             const std::string& model_prefix,
-                                             const std::string& store_path) {
+Result<std::shared_ptr<const TowerStore>> ComputeTowerStore(
+    const RrreTrainer& trainer, uint64_t params_fingerprint) {
   if (!trainer.fitted()) {
     return Status::FailedPrecondition(
-        "cannot build a tower store from an unfitted trainer");
+        "cannot compute a tower store from an unfitted trainer");
   }
   if (trainer.config().sampling != data::SamplingStrategy::kLatest) {
     return Status::InvalidArgument(
@@ -255,32 +254,48 @@ Result<TowerStoreBuildStats> BuildTowerStore(const RrreTrainer& trainer,
         "(kLatest); other strategies draw from the Rng, so profiles would "
         "not be pure functions of (id, params)");
   }
-  auto fingerprint = CheckpointParamsFingerprint(model_prefix);
-  if (!fingerprint.ok()) return fingerprint.status();
-
-  common::Timer timer;
   const int64_t dim = trainer.config().rev_dim;
   const int64_t num_users = trainer.train_data().num_users();
   const int64_t num_items = trainer.train_data().num_items();
+  std::shared_ptr<TowerStore> store(new TowerStore());
+  store->dim_ = dim;
+  store->num_users_ = num_users;
+  store->num_items_ = num_items;
+  store->params_fingerprint_ = params_fingerprint;
+  store->user_rows_.resize(static_cast<size_t>(num_users * dim));
+  store->item_rows_.resize(static_cast<size_t>(num_items * dim));
   FeatureBuilder features(trainer.config(), &trainer.train_data(),
                           &trainer.vocab());
-  std::vector<float> users(static_cast<size_t>(num_users * dim));
-  std::vector<float> items(static_cast<size_t>(num_items * dim));
   ComputeAllProfiles(trainer, features, /*user_tower=*/true, num_users, dim,
-                     users.data());
+                     store->user_rows_.data());
   ComputeAllProfiles(trainer, features, /*user_tower=*/false, num_items, dim,
-                     items.data());
-  RRRE_RETURN_IF_ERROR(TowerStore::WriteFile(store_path, dim, num_users,
-                                             num_items, fingerprint.value(),
-                                             users, items));
+                     store->item_rows_.data());
+  store->users_ = store->user_rows_.data();
+  store->items_ = store->item_rows_.data();
+  return std::shared_ptr<const TowerStore>(std::move(store));
+}
+
+Result<TowerStoreBuildStats> BuildTowerStore(const RrreTrainer& trainer,
+                                             const std::string& model_prefix,
+                                             const std::string& store_path) {
+  auto fingerprint = CheckpointParamsFingerprint(model_prefix);
+  if (!fingerprint.ok()) return fingerprint.status();
+  common::Timer timer;
+  auto store = ComputeTowerStore(trainer, fingerprint.value());
+  if (!store.ok()) return store.status();
+  const TowerStore& s = *store.value();
+  RRRE_RETURN_IF_ERROR(TowerStore::WriteFile(
+      store_path, s.dim(), s.num_users(), s.num_items(),
+      s.params_fingerprint(), s.user_rows_, s.item_rows_));
 
   TowerStoreBuildStats stats;
-  stats.num_users = num_users;
-  stats.num_items = num_items;
-  stats.dim = dim;
+  stats.num_users = s.num_users();
+  stats.num_items = s.num_items();
+  stats.dim = s.dim();
   stats.bytes = static_cast<int64_t>(
-      64 + (users.size() + items.size()) * sizeof(float));
-  stats.params_fingerprint = fingerprint.value();
+      kHeaderBytes +
+      (s.user_rows_.size() + s.item_rows_.size()) * sizeof(float));
+  stats.params_fingerprint = s.params_fingerprint();
   stats.seconds = timer.ElapsedSeconds();
   return stats;
 }

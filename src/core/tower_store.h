@@ -12,6 +12,8 @@
 
 namespace rrre::core {
 
+struct TowerStoreBuildStats;
+
 /// Materialized tower store: every user-preference vector x_u and item
 /// -profile vector y_i of a checkpoint, precomputed at publish time into one
 /// versioned, mmap-able flat file. The towers (BiLSTM text encoding + fraud
@@ -40,6 +42,10 @@ namespace rrre::core {
 /// corruption). Every structural field is validated before any
 /// count-derived arithmetic or access, so a hostile header cannot trigger
 /// overflow or a wild read.
+///
+/// A store's rows live either in a mapped file (Map) or in memory
+/// (ComputeTowerStore, which is how a server without a published store
+/// serves); the accessors are the same for both.
 class TowerStore {
  public:
   /// Writes a store file atomically and durably: AtomicFileWriter under the
@@ -68,20 +74,30 @@ class TowerStore {
   int64_t num_items() const { return num_items_; }
   uint64_t params_fingerprint() const { return params_fingerprint_; }
 
-  /// Row pointer into the mapped section; `dim()` floats. Bounds-checked.
+  /// Row pointer into the user or item section; `dim()` floats.
+  /// Bounds-checked.
   const float* user_profile(int64_t user) const;
   const float* item_profile(int64_t item) const;
 
  private:
+  friend common::Result<std::shared_ptr<const TowerStore>> ComputeTowerStore(
+      const RrreTrainer& trainer, uint64_t params_fingerprint);
+  friend common::Result<TowerStoreBuildStats> BuildTowerStore(
+      const RrreTrainer& trainer, const std::string& model_prefix,
+      const std::string& store_path);
+
   TowerStore() = default;
 
-  common::MappedFile file_;
+  common::MappedFile file_;  ///< Mapped stores only.
+  /// Computed stores only: row-major [num_users, dim] / [num_items, dim].
+  std::vector<float> user_rows_;
+  std::vector<float> item_rows_;
   int64_t dim_ = 0;
   int64_t num_users_ = 0;
   int64_t num_items_ = 0;
   uint64_t params_fingerprint_ = 0;
-  const float* users_ = nullptr;  ///< Into file_; [num_users * dim].
-  const float* items_ = nullptr;  ///< Into file_; [num_items * dim].
+  const float* users_ = nullptr;  ///< Into file_ or user_rows_.
+  const float* items_ = nullptr;  ///< Into file_ or item_rows_.
 };
 
 /// Fingerprint of a checkpoint's model parameters: byte size and CRC-32 of
@@ -104,10 +120,16 @@ struct TowerStoreBuildStats {
 
 /// Batch-runs both towers across every user and item id of the trainer's
 /// corpus — chunked exactly like BatchScorer priming and parallelized over
-/// chunks with ParallelFor — and publishes the store at `store_path`,
-/// fingerprinted against `<model_prefix>.model`. Requires the deterministic
-/// serving history sampling (kLatest): that is what makes a profile a pure
-/// function of (id, params) and the store bitwise-equivalent to live towers.
+/// chunks with ParallelFor — into an in-memory store stamped with
+/// `params_fingerprint`. Requires a fitted (or loaded) trainer and the
+/// deterministic serving history sampling (kLatest): that is what makes a
+/// profile a pure function of (id, params) and the store bitwise-equivalent
+/// to live towers.
+common::Result<std::shared_ptr<const TowerStore>> ComputeTowerStore(
+    const RrreTrainer& trainer, uint64_t params_fingerprint);
+
+/// ComputeTowerStore fingerprinted against `<model_prefix>.model`, published
+/// at `store_path` through WriteFile.
 common::Result<TowerStoreBuildStats> BuildTowerStore(
     const RrreTrainer& trainer, const std::string& model_prefix,
     const std::string& store_path);

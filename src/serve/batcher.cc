@@ -38,6 +38,15 @@ uint64_t FingerprintOrZero(const std::string& prefix) {
 
 }  // namespace
 
+common::Result<std::shared_ptr<const core::TowerStore>> LoadSnapshotStore(
+    const core::RrreTrainer& trainer, const std::string& model_prefix,
+    const std::string& store_path) {
+  if (!store_path.empty()) {
+    return core::MapTowerStoreForCheckpoint(store_path, model_prefix, trainer);
+  }
+  return core::ComputeTowerStore(trainer, FingerprintOrZero(model_prefix));
+}
+
 MicroBatcher::MicroBatcher(std::unique_ptr<core::RrreTrainer> trainer,
                            Options options,
                            std::shared_ptr<const core::TowerStore> store)
@@ -46,8 +55,6 @@ MicroBatcher::MicroBatcher(std::unique_ptr<core::RrreTrainer> trainer,
       store_(std::move(store)) {
   RRRE_CHECK(trainer_ != nullptr);
   RRRE_CHECK(trainer_->fitted()) << "load or fit the trainer before serving";
-  RRRE_CHECK_EQ(store_ != nullptr, !options_.store_path.empty())
-      << "pass a pre-mapped TowerStore iff store_path is set";
   RRRE_CHECK_GE(options_.max_batch, 1);
   RRRE_CHECK_GE(options_.queue_capacity, 1);
   RRRE_CHECK_GE(options_.max_delay_us, 0);
@@ -71,27 +78,18 @@ MicroBatcher::MicroBatcher(std::unique_ptr<core::RrreTrainer> trainer,
                                      "expanded pairs per executed batch");
     m_batch_latency_us_ = m->GetHistogram(
         "rrre_batcher_batch_latency_us", "per-batch Score latency");
-    m_user_cache_hits_ = m->GetCounter("rrre_scorer_user_cache_hits_total",
-                                       "user tower-cache hits");
-    m_user_cache_misses_ = m->GetCounter(
-        "rrre_scorer_user_cache_misses_total", "user tower-cache misses");
-    m_user_cache_evictions_ =
-        m->GetCounter("rrre_scorer_user_cache_evictions_total",
-                      "user tower-cache LRU evictions");
-    m_item_cache_hits_ = m->GetCounter("rrre_scorer_item_cache_hits_total",
-                                       "item tower-cache hits");
-    m_item_cache_misses_ = m->GetCounter(
-        "rrre_scorer_item_cache_misses_total", "item tower-cache misses");
-    m_item_cache_evictions_ =
-        m->GetCounter("rrre_scorer_item_cache_evictions_total",
-                      "item tower-cache LRU evictions");
   }
-  RRRE_CHECK_GE(options_.tower_cache_cap, 0);
+  if (store_ == nullptr) {
+    auto loaded = LoadSnapshotStore(*trainer_, options_.model_prefix,
+                                    options_.store_path);
+    RRRE_CHECK_OK(loaded.status());
+    store_ = std::move(loaded).ValueOrDie();
+  }
   scorer_ = MakeScorer();
   num_users_.store(trainer_->train_data().num_users());
   num_items_.store(trainer_->train_data().num_items());
   params_version_.store(trainer_->params_version());
-  params_fingerprint_.store(FingerprintOrZero(options_.model_prefix));
+  params_fingerprint_.store(store_->params_fingerprint());
   paused_ = options_.start_paused;
   scorer_thread_ = std::thread(&MicroBatcher::ScorerLoop, this);
 }
@@ -257,7 +255,6 @@ void MicroBatcher::ExecuteBatch(std::vector<WorkItem> batch) {
     RRRE_CHECK_EQ(trainer_->params_version(), version_before)
         << "model parameters changed under an in-flight batch";
     elapsed_us = timer.ElapsedSeconds() * 1e6;
-    MirrorCacheStats();
   }
 
   // Account the batch before dispatching callbacks, so an observer woken by
@@ -308,35 +305,31 @@ void MicroBatcher::DoReload(ReloadRequest request) {
   Status status =
       common::failpoint::MaybeError("serve.reload", "reload " + request.prefix);
   if (status.ok()) status = fresh->Load(request.prefix);
-  // Store-backed serving swaps store and parameters together: re-map the
-  // store path (a republish renamed a new file into place; the old mapping
-  // still points at the old inode) and verify it against the *fresh*
-  // checkpoint. A torn, corrupt, or stale-fingerprint store fails the whole
-  // reload — the old snapshot and old store keep serving.
+  // The store swaps with the parameters: re-map the store path (a republish
+  // renamed a new file into place; the old mapping still points at the old
+  // inode) and verify it against the *fresh* checkpoint, or compute every
+  // profile of the fresh parameters. A torn, corrupt, or stale-fingerprint
+  // store fails the whole reload — the old snapshot and old store keep
+  // serving.
   std::shared_ptr<const core::TowerStore> fresh_store;
-  if (status.ok() && store_ != nullptr) {
-    auto mapped = core::MapTowerStoreForCheckpoint(options_.store_path,
-                                                   request.prefix, *fresh);
-    if (mapped.ok()) {
-      fresh_store = std::move(mapped).ValueOrDie();
+  if (status.ok()) {
+    auto loaded =
+        LoadSnapshotStore(*fresh, request.prefix, options_.store_path);
+    if (loaded.ok()) {
+      fresh_store = std::move(loaded).ValueOrDie();
     } else {
-      status = mapped.status();
+      status = loaded.status();
     }
   }
   int64_t generation = -1;
   if (status.ok()) {
     trainer_ = std::move(fresh);
-    if (store_ != nullptr) store_ = std::move(fresh_store);
+    store_ = std::move(fresh_store);
     scorer_ = MakeScorer();
-    // The fresh scorer starts its counters at zero; re-base the mirror so
-    // the registry keeps accumulating instead of double-counting or going
-    // backwards.
-    mirrored_user_stats_ = core::BatchScorer::CacheStats();
-    mirrored_item_stats_ = core::BatchScorer::CacheStats();
     num_users_.store(trainer_->train_data().num_users());
     num_items_.store(trainer_->train_data().num_items());
     params_version_.store(trainer_->params_version());
-    params_fingerprint_.store(FingerprintOrZero(request.prefix));
+    params_fingerprint_.store(store_->params_fingerprint());
     generation = generation_.fetch_add(1) + 1;
     Inc(m_reloads_);
     if (m_generation_ != nullptr) m_generation_->Set(generation);
@@ -351,28 +344,9 @@ void MicroBatcher::DoReload(ReloadRequest request) {
 }
 
 std::unique_ptr<core::BatchScorer> MicroBatcher::MakeScorer() {
-  core::BatchScorer::Options scorer_options;
-  scorer_options.tower_cache_cap = options_.tower_cache_cap;
-  auto scorer =
-      std::make_unique<core::BatchScorer>(trainer_.get(), scorer_options);
-  if (store_ != nullptr) scorer->AttachStore(store_);
+  auto scorer = std::make_unique<core::BatchScorer>(trainer_.get());
+  scorer->AttachStore(store_);
   return scorer;
-}
-
-void MicroBatcher::MirrorCacheStats() {
-  if (m_user_cache_hits_ == nullptr) return;
-  const auto& user = scorer_->user_cache_stats();
-  const auto& item = scorer_->item_cache_stats();
-  Inc(m_user_cache_hits_, user.hits - mirrored_user_stats_.hits);
-  Inc(m_user_cache_misses_, user.misses - mirrored_user_stats_.misses);
-  Inc(m_user_cache_evictions_,
-      user.evictions - mirrored_user_stats_.evictions);
-  Inc(m_item_cache_hits_, item.hits - mirrored_item_stats_.hits);
-  Inc(m_item_cache_misses_, item.misses - mirrored_item_stats_.misses);
-  Inc(m_item_cache_evictions_,
-      item.evictions - mirrored_item_stats_.evictions);
-  mirrored_user_stats_ = user;
-  mirrored_item_stats_ = item;
 }
 
 }  // namespace rrre::serve

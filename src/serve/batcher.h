@@ -15,12 +15,13 @@
 #include "common/histogram.h"
 #include "common/status.h"
 #include "core/scorer.h"
+#include "core/tower_store.h"
 #include "core/trainer.h"
 #include "obs/metrics.h"
 
 namespace rrre::serve {
 
-/// Dynamic micro-batching scheduler in front of the tower-cached BatchScorer.
+/// Dynamic micro-batching scheduler in front of a store-backed BatchScorer.
 ///
 /// Producers (connection threads) enqueue single (user, item) requests with
 /// TrySubmit; a dedicated scorer thread collects them into batches — up to
@@ -40,8 +41,14 @@ namespace rrre::serve {
 /// around every Score call). The batch in flight when the reload lands
 /// finishes on the old snapshot; later batches see the new one.
 ///
-/// The model (trainer + scorer) is owned by the batcher and touched only by
-/// the scorer thread — that single-writer discipline is the whole
+/// Every snapshot scores from a TowerStore: the one published at
+/// Options::store_path, or, without a path, every profile computed in memory
+/// when the snapshot loads (LoadSnapshotStore) — at construction and on each
+/// reload, on the scorer thread while requests queue. No request batch ever
+/// runs a tower.
+///
+/// The model (trainer + store + scorer) is owned by the batcher and touched
+/// only by the scorer thread — that single-writer discipline is the whole
 /// concurrency story for the neural net.
 class MicroBatcher {
  public:
@@ -49,34 +56,34 @@ class MicroBatcher {
     int64_t max_batch = 64;        ///< Expanded pairs per batch (>= 1).
     int64_t max_delay_us = 1000;   ///< Linger after the first queued request.
     int64_t queue_capacity = 1024; ///< Admission bound, in queued requests.
-    /// LRU bound on the BatchScorer tower caches (profiles per tower);
-    /// 0 = unbounded. A long-lived server wants a bound — the caches
-    /// otherwise grow with every distinct id ever scored.
+    /// Read nowhere: the batcher scores only from a tower store, so there
+    /// is no tower cache to bound. Kept because perfbench's fixture still
+    /// assigns it; the queued benchmark change that stops the fixture
+    /// setting it deletes this field (ROADMAP, queued benchmark changes).
     int64_t tower_cache_cap = 0;
     /// Start with the scorer gate closed (tests use this to fill the queue
     /// deterministically); call Resume() to open it.
     bool start_paused = false;
-    /// When non-empty, serve store-backed: the constructor takes a
-    /// pre-mapped TowerStore for the initial snapshot, and every reload
-    /// re-maps this path and verifies it against the *new* checkpoint's
-    /// params fingerprint (MapTowerStoreForCheckpoint) — store and
-    /// parameters swap together or not at all. A reload pointing at a
+    /// When non-empty, every snapshot serves from the store published here:
+    /// every reload re-maps this path and verifies it against the *new*
+    /// checkpoint's params fingerprint (MapTowerStoreForCheckpoint) — store
+    /// and parameters swap together or not at all. A reload pointing at a
     /// checkpoint whose store was not republished fails and keeps the old
-    /// snapshot *and* the old store serving.
+    /// snapshot *and* the old store serving. When empty, each snapshot's
+    /// store is computed from its parameters.
     std::string store_path;
     /// When non-empty, the checkpoint prefix backing the initial snapshot.
-    /// Used to compute the params *fingerprint* surfaced in STATS — the
-    /// durable, cross-process analogue of params_version() (which counts
-    /// per-process mutations and is meaningless across a fleet). The
-    /// router's rolling-reload barrier compares fingerprints across shards
-    /// to prove they serve one parameter version; reloads recompute it from
+    /// Its params *fingerprint* is surfaced in STATS — the durable,
+    /// cross-process analogue of params_version() (which counts per-process
+    /// mutations and is meaningless across a fleet). The router's
+    /// rolling-reload barrier compares fingerprints across shards to prove
+    /// they serve one parameter version; a reload takes the fingerprint of
     /// the reloaded prefix.
     std::string model_prefix;
     /// When set, the batcher mirrors its accounting into this registry
     /// (rrre_batcher_* counters, queue-depth gauge, batch histograms) for
-    /// the METRICS exposition. Null disables the mirroring entirely — the
-    /// configuration the serving bench compares against. Not owned; must
-    /// outlive the batcher.
+    /// the METRICS exposition. Null disables the mirroring entirely. Not
+    /// owned; must outlive the batcher.
     obs::MetricsRegistry* metrics = nullptr;
   };
 
@@ -111,10 +118,11 @@ class MicroBatcher {
   static constexpr int64_t kCatalogItem = -1;
 
   /// `trainer` must be fitted (or loaded). The scorer thread starts
-  /// immediately unless options.start_paused. `store` is the pre-mapped
-  /// tower store for the initial snapshot — required (and validated against
-  /// the trainer) iff options.store_path is non-empty; map it with
-  /// core::MapTowerStoreForCheckpoint so parameter identity is verified.
+  /// immediately unless options.start_paused. `store` is the initial
+  /// snapshot's tower store, built from the trainer's parameters (map it
+  /// with core::MapTowerStoreForCheckpoint so parameter identity is
+  /// verified). When null, the constructor loads it with LoadSnapshotStore
+  /// and dies if that fails.
   MicroBatcher(std::unique_ptr<core::RrreTrainer> trainer, Options options,
                std::shared_ptr<const core::TowerStore> store = nullptr);
   ~MicroBatcher();
@@ -154,12 +162,11 @@ class MicroBatcher {
   int64_t generation() const { return generation_.load(); }
   /// params_version() of the current snapshot's trainer.
   int64_t params_version() const { return params_version_.load(); }
-  /// CheckpointParamsFingerprint of the serving snapshot's checkpoint — a
-  /// cross-process parameter identity. 0 when unknown (no
-  /// Options::model_prefix configured, or fingerprinting failed).
+  /// The serving snapshot's store's params fingerprint: the
+  /// CheckpointParamsFingerprint of its checkpoint — a cross-process
+  /// parameter identity. 0 when unknown (a computed store without
+  /// Options::model_prefix, or fingerprinting failed).
   uint64_t params_fingerprint() const { return params_fingerprint_.load(); }
-  /// True when serving from a materialized tower store.
-  bool store_backed() const { return !options_.store_path.empty(); }
 
  private:
   struct WorkItem {
@@ -176,18 +183,14 @@ class MicroBatcher {
   /// Executes one batch outside the lock; invokes callbacks.
   void ExecuteBatch(std::vector<WorkItem> batch);
   void DoReload(ReloadRequest request);
-  /// Builds a scorer over the current trainer with the configured cache cap.
+  /// Builds a scorer over the current trainer and store.
   std::unique_ptr<core::BatchScorer> MakeScorer();
-  /// Mirrors tower-cache hit/miss/eviction counters into the registry
-  /// (scorer thread only — reads the scorer's cumulative stats and pushes
-  /// the delta since the last mirror).
-  void MirrorCacheStats();
 
   const Options options_;
   std::unique_ptr<core::RrreTrainer> trainer_;
-  /// Current snapshot's mapped tower store (null when live-tower serving).
-  /// Swapped together with trainer_ by DoReload; shared so a draining scorer
-  /// can outlive a swap.
+  /// Current snapshot's tower store, mapped or computed. Swapped together
+  /// with trainer_ by DoReload; shared so a draining scorer can outlive a
+  /// swap.
   std::shared_ptr<const core::TowerStore> store_;
   std::unique_ptr<core::BatchScorer> scorer_;
 
@@ -202,16 +205,6 @@ class MicroBatcher {
   obs::Gauge* m_generation_ = nullptr;
   obs::HistogramMetric* m_batch_pairs_ = nullptr;
   obs::HistogramMetric* m_batch_latency_us_ = nullptr;
-  obs::Counter* m_user_cache_hits_ = nullptr;
-  obs::Counter* m_user_cache_misses_ = nullptr;
-  obs::Counter* m_user_cache_evictions_ = nullptr;
-  obs::Counter* m_item_cache_hits_ = nullptr;
-  obs::Counter* m_item_cache_misses_ = nullptr;
-  obs::Counter* m_item_cache_evictions_ = nullptr;
-  /// Last-mirrored cumulative cache stats (scorer thread only); reset when a
-  /// reload replaces the scorer.
-  core::BatchScorer::CacheStats mirrored_user_stats_;
-  core::BatchScorer::CacheStats mirrored_item_stats_;
 
   std::atomic<int64_t> num_users_{0};
   std::atomic<int64_t> num_items_{0};
@@ -231,6 +224,16 @@ class MicroBatcher {
 
   std::thread scorer_thread_;
 };
+
+/// The tower store a snapshot serves from, for `trainer` freshly loaded from
+/// `model_prefix`: `store_path` mapped and verified against that checkpoint
+/// (core::MapTowerStoreForCheckpoint) when set; otherwise every profile
+/// computed in memory (core::ComputeTowerStore), stamped with the
+/// checkpoint's params fingerprint, or with 0 when `model_prefix` is empty
+/// or cannot be fingerprinted.
+common::Result<std::shared_ptr<const core::TowerStore>> LoadSnapshotStore(
+    const core::RrreTrainer& trainer, const std::string& model_prefix,
+    const std::string& store_path);
 
 }  // namespace rrre::serve
 

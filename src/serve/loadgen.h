@@ -10,10 +10,10 @@
 
 namespace rrre::serve {
 
-/// Closed-loop load generator for rrre_served, shared by tools/rrre_loadgen
-/// and bench_serving: N concurrent connections each issue pair requests
-/// (uniformly random ids) and wait for the response, optionally paced to a
-/// target aggregate QPS.
+/// Closed-loop load generator for rrre_served, used by tools/rrre_loadgen
+/// and the fault-injection tests: N concurrent connections each issue pair
+/// requests (uniformly random ids) and wait for the response, optionally
+/// paced to a target aggregate QPS.
 struct LoadGenOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -28,7 +28,7 @@ struct LoadGenOptions {
   int64_t num_items = 0;
   /// Retries per request on "!ERR overload", with exponential backoff +
   /// jitter between attempts (see BackoffUs). 0 = report overloads as-is,
-  /// preserving the closed-loop semantics bench_serving measures.
+  /// keeping the plain closed-loop semantics.
   int64_t max_retries = 0;
   /// Backoff base: attempt k waits roughly base * 2^k microseconds (capped,
   /// jittered) before the retry.

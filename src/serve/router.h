@@ -22,9 +22,11 @@ namespace rrre::serve {
 /// `virtual_nodes` points, a user id hashes to a position, and the backends
 /// encountered walking clockwise from that position (first occurrence of
 /// each index) form the user's deterministic preference order — home shard
-/// first, replicas after. Adding or removing one backend moves only the keys
-/// whose arc it owned (~1/N of them); everything else keeps its home shard,
-/// which is what keeps per-shard tower caches warm across fleet resizes.
+/// first, replicas after. That order is what the ring gives the router: a
+/// deterministic home shard per user and a fixed replica walk for failover.
+/// Adding or removing one backend moves only the keys whose arc it owned
+/// (~1/N of them); shards hold no per-user state (every shard serves from a
+/// full tower store), so nothing depends on that stability today.
 class ConsistentRing {
  public:
   ConsistentRing(int num_backends, int virtual_nodes);

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "core/tower_store.h"
 #include "serve/protocol.h"
 
 namespace rrre::serve {
@@ -24,13 +23,9 @@ inline void Inc(obs::Counter* counter) {
 Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
   auto trainer = std::make_unique<core::RrreTrainer>(options.config);
   RRRE_RETURN_IF_ERROR(trainer->Load(options.model_prefix));
-  std::shared_ptr<const core::TowerStore> store;
-  if (!options.store_path.empty()) {
-    auto mapped = core::MapTowerStoreForCheckpoint(
-        options.store_path, options.model_prefix, *trainer);
-    if (!mapped.ok()) return mapped.status();
-    store = std::move(mapped).ValueOrDie();
-  }
+  auto store =
+      LoadSnapshotStore(*trainer, options.model_prefix, options.store_path);
+  if (!store.ok()) return store.status();
   auto listener = Socket::Listen(options.port);
   if (!listener.ok()) return listener.status();
   std::unique_ptr<obs::MetricsRegistry> metrics;
@@ -44,7 +39,7 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
     batcher_options.metrics = nullptr;
   }
   auto batcher = std::make_unique<MicroBatcher>(
-      std::move(trainer), batcher_options, std::move(store));
+      std::move(trainer), batcher_options, std::move(store).ValueOrDie());
   std::unique_ptr<Server> server(
       new Server(options, std::move(metrics), std::move(batcher),
                  std::move(listener).ValueOrDie()));

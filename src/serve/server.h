@@ -24,10 +24,11 @@ struct ServerOptions {
   core::RrreConfig config;
   /// Checkpoint prefix loaded at startup and re-loaded on hot reload.
   std::string model_prefix;
-  /// When non-empty, serve store-backed from this materialized tower store
-  /// (mapped read-only at startup and re-mapped + fingerprint-verified on
-  /// every reload — see MicroBatcher::Options::store_path). Startup fails if
-  /// the store is missing, corrupt, or stale for the checkpoint.
+  /// When non-empty, serve from this published tower store (mapped
+  /// read-only at startup and re-mapped + fingerprint-verified on every
+  /// reload — see MicroBatcher::Options::store_path). Startup fails if the
+  /// store is missing, corrupt, or stale for the checkpoint. When empty,
+  /// every profile is computed at startup and again at each reload.
   std::string store_path;
   /// TCP port to listen on; 0 picks an ephemeral port (see Server::port()).
   uint16_t port = 0;
@@ -42,8 +43,8 @@ struct ServerOptions {
   int read_timeout_ms = 0;
   /// When true the server owns a MetricsRegistry, instruments itself and the
   /// batcher into it, and answers the METRICS verb with its exposition.
-  /// False turns all metric writes into dead branches (the baseline the
-  /// serving bench measures overhead against); METRICS then answers
+  /// False turns all metric writes into dead branches (the baseline
+  /// instrumentation overhead is measured against); METRICS then answers
   /// "!ERR metrics". STATS is unaffected either way.
   bool enable_metrics = true;
 };
@@ -63,7 +64,9 @@ struct ServerStats {
 /// The long-lived rrre_served server: accepts concurrent line-protocol
 /// connections (see serve/protocol.h) through a LineServer, funnels score
 /// requests into the MicroBatcher, and writes responses back in request
-/// order per connection.
+/// order per connection. Every score comes from a tower store: the
+/// published one at ServerOptions::store_path, or one computed in memory
+/// before the server listens.
 ///
 /// Each request line gets an ordered reply slot. Control verbs and parse,
 /// range and overload errors fill it at once; score requests fill it from
@@ -75,7 +78,10 @@ struct ServerStats {
 /// requests still get their responses, then threads are joined.
 class Server {
  public:
-  /// Loads the checkpoint, binds the listener and starts the accept loop.
+  /// Loads the checkpoint and its tower store (LoadSnapshotStore), binds the
+  /// listener and starts the accept loop. A store that cannot be mapped or
+  /// computed — e.g. a config whose history sampling is not kLatest — is
+  /// returned as an error.
   static common::Result<std::unique_ptr<Server>> Start(
       const ServerOptions& options);
   ~Server();

@@ -849,35 +849,6 @@ TEST_F(FaultServeTest, FailedReloadKeepsServingTheOldSnapshot) {
   EXPECT_EQ(client.MustReadLine(), ExpectedScoreLine(3, 1));
 }
 
-TEST_F(FaultServeTest, TowerCacheCountersReachTheMetricsExposition) {
-  serve::ServerOptions options = BaseOptions();
-  options.batcher.tower_cache_cap = 4;  // Clamped up to batch_size (16).
-  auto server = StartServer(options);
-  Client client(server->port());
-  std::string wire;
-  for (int64_t user = 0; user < 3; ++user) {
-    wire += std::to_string(user) + "\t1\n";  // Repeats item 1: cache hits.
-  }
-  // Two separate round-trips: the second batch finds every profile already
-  // cached (hits only count across Score calls — one batch dedups its ids).
-  client.Send(wire);
-  for (int i = 0; i < 3; ++i) client.MustReadLine();
-  client.Send(wire);
-  for (int i = 0; i < 3; ++i) client.MustReadLine();
-  server->batcher().Drain();  // The last batch's counter mirror has landed.
-  const std::string text = server->RenderMetricsText();
-  auto metric = [&text](const std::string& name) {
-    const size_t pos = text.find("\n" + name + " ");
-    RRRE_CHECK(pos != std::string::npos) << "missing metric " << name;
-    return std::atoll(text.c_str() + pos + 1 + name.size() + 1);
-  };
-  EXPECT_GT(metric("rrre_scorer_user_cache_misses_total"), 0);
-  EXPECT_GT(metric("rrre_scorer_item_cache_hits_total"), 0);
-  EXPECT_EQ(metric("rrre_scorer_user_cache_evictions_total") +
-                metric("rrre_scorer_item_cache_evictions_total"),
-            0);  // 3 users / 1 item never exceed the cap.
-}
-
 TEST_F(FaultServeTest, PeerResetMidPipelineDoesNotDisturbOtherConnections) {
   serve::ServerOptions options = BaseOptions();
   options.read_timeout_ms = 2000;  // Reset connections must not pin a drain.
@@ -999,8 +970,8 @@ TEST_F(FaultServeTest, LoadgenAccountsExhaustedRetriesAsOverloadsNotErrors) {
 
 TEST_F(FaultServeTest, SeededFaultScheduleSoak) {
   // The capstone: a randomized fault schedule — replayable from kSoakSeed
-  // plus the per-point seeds below — thrown at a live server with a capped
-  // tower cache. Invariants asserted throughout:
+  // plus the per-point seeds below — thrown at a live server. Invariants
+  // asserted throughout:
   //   1. the server never crashes or wedges,
   //   2. every score response is byte-identical to the reference model
   //      (never a torn or half-reloaded snapshot),
@@ -1008,7 +979,6 @@ TEST_F(FaultServeTest, SeededFaultScheduleSoak) {
   //   4. after DisarmAll a clean client sees a fully healthy server.
   constexpr uint64_t kSoakSeed = 0xfa17;
   serve::ServerOptions options = BaseOptions();
-  options.batcher.tower_cache_cap = 8;  // Clamped to 16: heavy eviction.
   options.batcher.queue_capacity = 64;
   options.read_timeout_ms = 2000;
   auto server = StartServer(options);

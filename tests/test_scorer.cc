@@ -1,10 +1,7 @@
 // Tests of the tower-cached BatchScorer: exactness against the full
-// pipeline and cache behavior.
+// pipeline, cache reuse and the stale-parameters check.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <cstdlib>
 
 #include "common/rng.h"
 #include "common/timer.h"
@@ -101,21 +98,6 @@ TEST_F(BatchScorerTest, CachedCatalogScoringIsFasterSecondTime) {
   EXPECT_LT(warm, cold);  // Heads only vs towers + heads.
 }
 
-TEST_F(BatchScorerTest, InvalidateDropsCachesAndRebinds) {
-  BatchScorer scorer(trainer_);
-  scorer.Score({{0, 0}, {1, 1}});
-  EXPECT_EQ(scorer.cached_users(), 2);
-  EXPECT_EQ(scorer.cached_items(), 2);
-  scorer.Invalidate();
-  EXPECT_EQ(scorer.cached_users(), 0);
-  EXPECT_EQ(scorer.cached_items(), 0);
-  // Still scores correctly after rebinding (parameters are unchanged here,
-  // so the numbers must match the full pipeline as usual).
-  auto fast = scorer.Score({{0, 0}});
-  auto full = trainer_->PredictPairs({{0, 0}});
-  EXPECT_NEAR(fast.reliabilities[0], full.reliabilities[0], 2e-5);
-}
-
 TEST_F(BatchScorerTest, StaleCachesAreACheckedError) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   BatchScorer scorer(trainer_);
@@ -130,96 +112,6 @@ TEST_F(BatchScorerTest, StaleCachesAreACheckedError) {
         scorer.Score({{0, 0}});
       },
       "stale");
-}
-
-TEST_F(BatchScorerTest, InvalidateAfterRetrainingRestoresService) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  // Same scenario, but the consumer reacts correctly: Invalidate() after
-  // the retrain re-binds the scorer and scoring succeeds again.
-  EXPECT_EXIT(
-      {
-        BatchScorer scorer(trainer_);
-        scorer.Score({{0, 0}});
-        trainer_->Fit(*corpus_);
-        scorer.Invalidate();
-        scorer.Score({{0, 0}});
-        std::exit(0);
-      },
-      ::testing::ExitedWithCode(0), "");
-}
-
-TEST_F(BatchScorerTest, CacheStatsTrackHitsAndMisses) {
-  BatchScorer scorer(trainer_);
-  scorer.Score({{0, 0}, {1, 0}});
-  EXPECT_EQ(scorer.user_cache_stats().misses, 2);
-  EXPECT_EQ(scorer.user_cache_stats().hits, 0);
-  EXPECT_EQ(scorer.item_cache_stats().misses, 1);
-  EXPECT_EQ(scorer.item_cache_stats().hits, 0);
-  scorer.Score({{0, 0}});
-  EXPECT_EQ(scorer.user_cache_stats().hits, 1);
-  EXPECT_EQ(scorer.user_cache_stats().misses, 2);
-  EXPECT_EQ(scorer.item_cache_stats().hits, 1);
-  EXPECT_EQ(scorer.user_cache_stats().evictions, 0);
-  EXPECT_EQ(scorer.item_cache_stats().evictions, 0);
-}
-
-TEST_F(BatchScorerTest, CappedScorerMatchesUnboundedBitwise) {
-  // Far more distinct users than the cache cap, revisited across several
-  // calls in a shuffled order: the capped scorer must evict and recompute,
-  // and every recomputed profile must reproduce the cached one exactly —
-  // scores bit-identical to the unbounded scorer's.
-  const int64_t num_users = corpus_->num_users();
-  const int64_t num_items = corpus_->num_items();
-  ASSERT_GT(num_users, trainer_->config().batch_size);
-  Rng rng(77);
-  std::vector<std::pair<int64_t, int64_t>> pairs;
-  for (int64_t i = 0; i < 300; ++i) {
-    pairs.emplace_back(
-        static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(num_users))),
-        static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(num_items))));
-  }
-  BatchScorer unbounded(trainer_);
-  BatchScorer::Options options;
-  options.tower_cache_cap = 1;  // Clamped up to config batch_size.
-  BatchScorer capped(trainer_, options);
-  for (size_t start = 0; start < pairs.size(); start += 50) {
-    const std::vector<std::pair<int64_t, int64_t>> slice(
-        pairs.begin() + start, pairs.begin() + start + 50);
-    const auto full = unbounded.Score(slice);
-    const auto small = capped.Score(slice);
-    for (size_t i = 0; i < slice.size(); ++i) {
-      EXPECT_EQ(full.ratings[i], small.ratings[i]) << start + i;
-      EXPECT_EQ(full.reliabilities[i], small.reliabilities[i]) << start + i;
-    }
-  }
-  // The cap held and was actually exercised.
-  EXPECT_LE(capped.cached_users(), trainer_->config().batch_size);
-  EXPECT_GT(capped.user_cache_stats().evictions, 0);
-  EXPECT_EQ(unbounded.user_cache_stats().evictions, 0);
-  // Evicted-and-revisited users miss again in the capped scorer, so its
-  // miss count strictly exceeds the unbounded scorer's (= distinct users).
-  EXPECT_GT(capped.user_cache_stats().misses,
-            unbounded.user_cache_stats().misses);
-}
-
-TEST_F(BatchScorerTest, EvictedProfilesAreRecomputedNotCorrupted) {
-  // Directly exercise Prime + eviction: fill past the cap, come back to the
-  // evicted ids, and check the recomputed scores against the full pipeline.
-  BatchScorer::Options options;
-  options.tower_cache_cap = 1;  // Effective cap = batch_size.
-  BatchScorer scorer(trainer_, options);
-  const int64_t cap = trainer_->config().batch_size;
-  std::vector<int64_t> users;
-  for (int64_t u = 0; u < cap + 8 && u < corpus_->num_users(); ++u) {
-    users.push_back(u);
-  }
-  scorer.PrimeUsers(users);
-  EXPECT_LE(scorer.cached_users(), cap);
-  EXPECT_GT(scorer.user_cache_stats().evictions, 0);
-  // User 0 was evicted (LRU); scoring it again recomputes the profile.
-  auto fast = scorer.Score({{0, 0}});
-  auto full = trainer_->PredictPairs({{0, 0}});
-  EXPECT_NEAR(fast.reliabilities[0], full.reliabilities[0], 2e-5);
 }
 
 TEST_F(BatchScorerTest, ProfilesIndependentOfPairedCounterpart) {

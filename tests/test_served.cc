@@ -536,6 +536,8 @@ TEST_F(ServedTest, MetricsScrapeIsByteIdenticalWhenIdle) {
       << first;
   EXPECT_NE(first.find("rrre_batcher_batch_latency_us"), std::string::npos)
       << first;
+  // The server scores only from a tower store: no tower-cache series.
+  EXPECT_EQ(first.find("rrre_scorer_"), std::string::npos) << first;
   // Server-side view matches what went over the wire.
   EXPECT_EQ(server->RenderMetricsText(), first);
 }

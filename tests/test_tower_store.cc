@@ -11,7 +11,8 @@
 //
 //  * TowerStoreServingTest — a trained checkpoint: store-backed scores must
 //    be bitwise identical to live-tower scores for every (user, item) pair,
-//    across thread counts and a build/reload cycle; catalog TSV output must
+//    across thread counts and a build/reload cycle; a computed store must
+//    hold the published file's rows byte for byte; catalog TSV output must
 //    be byte-identical to offline rrre_serve; and the MicroBatcher must
 //    swap store + params together — a torn or stale store fails the reload
 //    and the old snapshot keeps serving.
@@ -41,6 +42,7 @@
 #include "data/profiles.h"
 #include "data/synthetic.h"
 #include "serve/batcher.h"
+#include "serve/server.h"
 #include "tensor/serialize.h"
 
 namespace rrre {
@@ -649,6 +651,29 @@ TEST_F(TowerStoreServingTest, BuildIsBitwiseDeterministicAcrossThreadCounts) {
   EXPECT_EQ(bytes1.value(), fixture.value());
   std::remove(path1.c_str());
   std::remove(path4.c_str());
+
+  // The in-memory store a server computes holds the payload of the
+  // published file, byte for byte, at either thread count.
+  const std::string& file = fixture.value();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    common::ThreadPool::SetGlobalSize(threads);
+    auto computed = core::ComputeTowerStore(*trainer_, 0x5eed);
+    ASSERT_TRUE(computed.ok()) << computed.status().ToString();
+    const core::TowerStore& store = *computed.value();
+    EXPECT_EQ(store.params_fingerprint(), 0x5eedu);
+    const size_t user_bytes =
+        static_cast<size_t>(store.num_users() * store.dim()) * sizeof(float);
+    const size_t item_bytes =
+        static_cast<size_t>(store.num_items() * store.dim()) * sizeof(float);
+    ASSERT_EQ(file.size(), kHeaderBytes + user_bytes + item_bytes);
+    EXPECT_EQ(std::memcmp(store.user_profile(0), file.data() + kHeaderBytes,
+                          user_bytes),
+              0);
+    EXPECT_EQ(std::memcmp(store.item_profile(0),
+                          file.data() + kHeaderBytes + user_bytes, item_bytes),
+              0);
+  }
 }
 
 TEST_F(TowerStoreServingTest, BuildReloadCycleKeepsBitwiseIdentity) {
@@ -685,17 +710,6 @@ TEST_F(TowerStoreServingTest, BuildReloadCycleKeepsBitwiseIdentity) {
   std::remove(path.c_str());
 }
 
-TEST_F(TowerStoreServingTest, InvalidateDetachesTheStore) {
-  core::BatchScorer scorer(trainer_);
-  scorer.AttachStore(MapFixtureStore());
-  ASSERT_TRUE(scorer.store_backed());
-  scorer.Invalidate();
-  EXPECT_FALSE(scorer.store_backed());
-  // Live towers take over seamlessly after the detach.
-  const auto preds = scorer.Score({{0, 0}});
-  EXPECT_EQ(preds.ratings.size(), 1u);
-}
-
 TEST_F(TowerStoreServingTest, BuildRequiresDeterministicHistorySampling) {
   core::RrreConfig config = TinyConfig();
   config.sampling = data::SamplingStrategy::kRandom;
@@ -705,6 +719,18 @@ TEST_F(TowerStoreServingTest, BuildRequiresDeterministicHistorySampling) {
                                      TempPath("tws_random.tws"));
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), common::StatusCode::kInvalidArgument);
+  auto computed = core::ComputeTowerStore(random_trainer, 0);
+  ASSERT_FALSE(computed.ok());
+  EXPECT_EQ(computed.status().code(), common::StatusCode::kInvalidArgument);
+
+  // A server without a published store computes one before it listens, so
+  // it refuses the config with a Status instead of aborting.
+  serve::ServerOptions options;
+  options.config = config;
+  options.model_prefix = *prefix_;
+  auto server = serve::Server::Start(options);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 TEST_F(TowerStoreServingTest, StaleCheckpointFingerprintIsRejected) {
@@ -808,7 +834,6 @@ TEST_F(TowerStoreServingTest, BatcherServesStoreBackedBitwiseIdentical) {
   options.max_delay_us = 0;
   options.store_path = *store_path_;
   serve::MicroBatcher batcher(std::move(owned), options, MapFixtureStore());
-  ASSERT_TRUE(batcher.store_backed());
 
   for (const auto& [user, item] :
        {std::pair<int64_t, int64_t>{0, 0}, {3, 1}, {7, 5}}) {

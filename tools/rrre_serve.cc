@@ -15,7 +15,9 @@
 // Scoring runs through the tower-cached BatchScorer: each distinct user and
 // item tower is evaluated once over the global thread pool, then only the
 // cheap prediction heads run per pair — O(users + items) tower work instead
-// of O(pairs), which is what makes full-catalog sweeps tractable.
+// of O(pairs), which is what makes full-catalog sweeps tractable. Unlike
+// rrre_served, which always scores from a tower store, this tool runs the
+// towers on demand unless --store is given.
 //
 // --store=PATH serves from a materialized tower store (built by
 // rrre_store_build or --store_out): profiles come straight out of the mapped

@@ -4,32 +4,34 @@
 //   rrre_served --model=/ckpt/m --port=7475
 //               [--store=/ckpt/m.tower_store]
 //               [--max_batch=64 --max_delay_us=1000 --queue_cap=1024]
-//               [--tower_cache_cap=65536] [--read_timeout_ms=0]
-//               [--max_connections=256] [--num_threads=8]
-//               [--su=5 --si=7 --seed=42]
+//               [--read_timeout_ms=0] [--max_connections=256]
+//               [--num_threads=8] [--su=5 --si=7 --seed=42]
 //
 // Clients speak a line protocol (see src/serve/protocol.h): "user<TAB>item"
 // scores one pair, a bare "user" scores the whole catalog, and PING / STATS
 // / METRICS / RELOAD / QUIT are control commands (METRICS returns a
 // Prometheus-style exposition; disable the registry with --metrics=false). Requests from all connections are
 // funneled into a dynamic micro-batcher (up to --max_batch pairs or
-// --max_delay_us of linger, whichever first) running on the tower-cached
-// BatchScorer over the global thread pool. The admission queue is bounded
-// (--queue_cap); an overloaded server answers "!ERR overload" immediately
-// instead of queueing unboundedly.
+// --max_delay_us of linger, whichever first) scoring from a tower store: the
+// FM heads over precomputed user and item profiles, zero tower work per
+// request. The admission queue is bounded (--queue_cap); an overloaded
+// server answers "!ERR overload" immediately instead of queueing
+// unboundedly.
 //
-// --store=PATH serves from a materialized tower store (rrre_store_build):
-// profiles are read out of the mmap'd file — zero tower work per request,
-// one shared page-cache copy across serving processes, scores bitwise
-// identical to live towers. The store must match the checkpoint's parameter
-// fingerprint or startup fails.
+// --store=PATH serves from a published tower store (rrre_store_build):
+// profiles are read out of the mmap'd file, one shared page-cache copy
+// across serving processes. The store must match the checkpoint's parameter
+// fingerprint or startup fails. Without --store the server computes every
+// profile over the global thread pool at startup, before it listens, and
+// again at each reload; scores are bitwise identical either way.
 //
 // SIGHUP (or the RELOAD command) hot-reloads the checkpoint: the new
 // snapshot is loaded off to the side and swapped in between batches, so
 // in-flight batches finish on the old parameters and no batch ever mixes
-// versions. With --store the store is re-mapped and fingerprint-verified
-// against the new checkpoint in the same step — a stale or torn store fails
-// the reload and the old snapshot plus old store keep serving.
+// versions. The store swaps in the same step: with --store it is re-mapped
+// and fingerprint-verified against the new checkpoint — a stale or torn
+// store fails the reload and the old snapshot plus old store keep serving;
+// without it, the new checkpoint's profiles are computed.
 // SIGINT/SIGTERM drain gracefully: admitted requests are answered,
 // then the process exits.
 //
@@ -52,15 +54,14 @@ int main(int argc, char** argv) {
   common::FlagParser flags;
   flags.AddString("model", "", "checkpoint prefix written by rrre_cli train");
   flags.AddString("store", "",
-                  "serve from this materialized tower store (built by "
-                  "rrre_store_build; must match the checkpoint)");
+                  "serve from this published tower store (built by "
+                  "rrre_store_build; must match the checkpoint); without "
+                  "it, every profile is computed at startup and each reload");
   flags.AddInt("port", 7475, "TCP port to listen on (0 = ephemeral)");
   flags.AddInt("max_batch", 64, "max expanded pairs per scoring batch");
   flags.AddInt("max_delay_us", 1000,
                "batching linger after the first queued request");
   flags.AddInt("queue_cap", 1024, "admission queue bound (requests)");
-  flags.AddInt("tower_cache_cap", 65536,
-               "LRU bound on cached tower profiles per tower (0 = unbounded)");
   flags.AddInt("max_connections", 256, "concurrent connection limit");
   flags.AddInt("read_timeout_ms", 0,
                "drop connections idle past this deadline (0 = no deadline)");
@@ -95,7 +96,6 @@ int main(int argc, char** argv) {
   options.batcher.max_batch = flags.GetInt("max_batch");
   options.batcher.max_delay_us = flags.GetInt("max_delay_us");
   options.batcher.queue_capacity = flags.GetInt("queue_cap");
-  options.batcher.tower_cache_cap = flags.GetInt("tower_cache_cap");
   options.max_connections = flags.GetInt("max_connections");
   options.read_timeout_ms = static_cast<int>(flags.GetInt("read_timeout_ms"));
   options.enable_metrics = flags.GetBool("metrics");
@@ -106,10 +106,10 @@ int main(int argc, char** argv) {
                  server.status().ToString().c_str());
     return 1;
   }
-  std::printf("rrre_served listening on port %u (model %s, %d threads%s)\n",
+  std::printf("rrre_served listening on port %u (model %s, %d threads, %s)\n",
               server.value()->port(), options.model_prefix.c_str(),
               common::ThreadPool::GlobalSize(),
-              options.store_path.empty() ? "" : ", store-backed");
+              options.store_path.empty() ? "store computed" : "store mapped");
   std::fflush(stdout);
 
   uint64_t reloads_seen = common::ReloadRequestCount();
