@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -24,7 +26,7 @@ inline void Inc(obs::Counter* counter) {
   if (counter != nullptr) counter->Increment();
 }
 
-/// splitmix64: cheap, well-mixed 64-bit hash for ring points and user keys.
+/// splitmix64: cheap, well-mixed 64-bit hash for placement weights.
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -193,45 +195,23 @@ Result<StatsLine> CheckHealth(BackendLink& link) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ConsistentRing
+// Placement
 // ---------------------------------------------------------------------------
 
-ConsistentRing::ConsistentRing(int num_backends, int virtual_nodes)
-    : num_backends_(num_backends) {
+std::vector<int> PreferenceOrder(int64_t user, int num_backends) {
   RRRE_CHECK_GE(num_backends, 1);
-  RRRE_CHECK_GE(virtual_nodes, 1);
-  points_.reserve(static_cast<size_t>(num_backends) *
-                  static_cast<size_t>(virtual_nodes));
+  const uint64_t key = Mix64(static_cast<uint64_t>(user));
+  std::vector<std::pair<uint64_t, int>> weighted;
+  weighted.reserve(static_cast<size_t>(num_backends));
   for (int b = 0; b < num_backends; ++b) {
-    for (int v = 0; v < virtual_nodes; ++v) {
-      // Point = hash(backend, vnode): independent of fleet size, so adding a
-      // backend only inserts its own points and steals only their arcs.
-      points_.emplace_back(
-          Mix64((static_cast<uint64_t>(b) << 32) | static_cast<uint64_t>(v)),
-          b);
-    }
+    // Weight = hash(user, backend): independent of the fleet size, so adding
+    // a backend changes no other backend's weight.
+    weighted.emplace_back(Mix64(key ^ Mix64(static_cast<uint64_t>(b))), b);
   }
-  std::sort(points_.begin(), points_.end());
-}
-
-std::vector<int> ConsistentRing::PreferenceOrder(int64_t user) const {
-  const uint64_t h = Mix64(static_cast<uint64_t>(user));
-  auto it = std::lower_bound(points_.begin(), points_.end(),
-                             std::make_pair(h, 0));
+  std::sort(weighted.begin(), weighted.end(), std::greater<>());
   std::vector<int> order;
-  order.reserve(static_cast<size_t>(num_backends_));
-  std::vector<bool> seen(static_cast<size_t>(num_backends_), false);
-  for (size_t walked = 0;
-       walked < points_.size() &&
-       order.size() < static_cast<size_t>(num_backends_);
-       ++walked, ++it) {
-    if (it == points_.end()) it = points_.begin();
-    const int b = it->second;
-    if (!seen[static_cast<size_t>(b)]) {
-      seen[static_cast<size_t>(b)] = true;
-      order.push_back(b);
-    }
-  }
+  order.reserve(weighted.size());
+  for (const auto& [weight, b] : weighted) order.push_back(b);
   return order;
 }
 
@@ -292,19 +272,15 @@ class Router::Session {
         router_->parse_errors_.fetch_add(1);
         Inc(router_->m_parse_errors_);
         return FormatError("parse", req.error);
+      case Request::Type::kCatalog:
+        router_->fanouts_.fetch_add(1);
+        Inc(router_->m_fanouts_);
+        [[fallthrough]];
       case Request::Type::kPair: {
         // Scoring holds the reload barrier shared: a rolling reload cannot
         // start mid-request, and no request dispatches mid-roll.
         std::shared_lock<std::shared_mutex> barrier(router_->reload_mu_);
-        auto resp = RouteLine(line, req.user, /*retry_overload=*/false);
-        if (!resp.ok()) {
-          return FormatError("upstream", resp.status().message());
-        }
-        return resp.value() + "\n";
-      }
-      case Request::Type::kCatalog: {
-        std::shared_lock<std::shared_mutex> barrier(router_->reload_mu_);
-        return HandleCatalog(line, req.user);
+        return Route(line, req);
       }
       case Request::Type::kBlank:
         return "";
@@ -320,7 +296,7 @@ class Router::Session {
                   router_->options_.backoff_cap_us, rng_)));
   }
 
-  /// The serving backend for `user` at retry `attempt`: walk the ring
+  /// The serving backend for `user` at retry `attempt`: walk the user's
   /// preference order restricted to serving backends, cycling if the retry
   /// budget exceeds the fleet. -1 when nothing serves.
   int PickBackend(const std::vector<int>& preference, int64_t attempt) const {
@@ -332,17 +308,16 @@ class Router::Session {
     return serving[static_cast<size_t>(attempt) % serving.size()];
   }
 
-  /// Routes a single-line request (pair score, or a bare user relayed for
-  /// its authoritative range error) and returns the single response line.
-  /// Transport faults fail over along the ring with jittered backoff;
-  /// scoring is idempotent, so maybe-delivered requests are still resent.
-  /// With `retry_overload`, "!ERR overload" answers are also retried (used
-  /// inside catalog fan-out, where a torn catalog is unacceptable);
-  /// otherwise they relay to the client, matching a direct backend.
-  Result<std::string> RouteLine(const std::string& line, int64_t user,
-                                bool retry_overload) {
+  /// Routes a pair or bare-user catalog request whole to the user's home
+  /// shard and returns the shard's whole answer. Transport faults and
+  /// misaligned answers fail over along the user's preference order with
+  /// jittered backoff; scoring is idempotent, so maybe-delivered requests
+  /// are still resent. Error answers (range, overload) relay to the client,
+  /// exactly as a direct backend gives them.
+  std::string Route(const std::string& line, const Request& req) {
     const std::string wire = line + "\n";
-    const std::vector<int> preference = router_->ring_.PreferenceOrder(user);
+    const std::vector<int> preference = PreferenceOrder(
+        req.user, static_cast<int>(router_->backends_.size()));
     Status last = Status::FailedPrecondition("no serving backends");
     for (int64_t attempt = 0; attempt <= router_->options_.max_retries;
          ++attempt) {
@@ -353,136 +328,53 @@ class Router::Session {
       }
       const int k = PickBackend(preference, attempt);
       if (k < 0) continue;
-      const Status sent = Link(k).Send(wire);
-      if (!sent.ok()) {
-        last = sent;
-        continue;
-      }
-      auto resp = Link(k).ReadLine();
-      if (!resp.ok()) {
-        last = resp.status();
-        continue;
-      }
-      if (retry_overload && IsOverloadLine(resp.value()) &&
-          attempt < router_->options_.max_retries) {
-        last = Status::FailedPrecondition("backend overloaded");
+      last = Link(k).Send(wire);
+      if (!last.ok()) continue;
+      auto answer = ReadAnswer(Link(k), req);
+      if (!answer.ok()) {
+        last = answer.status();
         continue;
       }
       if (k != preference[0]) {
         router_->failovers_.fetch_add(1);
         Inc(router_->m_failovers_);
       }
-      return resp.value();
+      return std::move(answer).ValueOrDie();
     }
     router_->upstream_errors_.fetch_add(1);
     Inc(router_->m_upstream_errors_);
-    return last;
+    return FormatError("upstream", last.message());
   }
 
-  // -- catalog fan-out ------------------------------------------------------
-
-  /// Fans a bare-user catalog request out across every serving shard as
-  /// contiguous item slices of pipelined pair requests, then merges the
-  /// responses back in item order. Scoring is batch-composition invariant,
-  /// so the reassembled response is byte-identical to one direct backend
-  /// answering the whole catalog. Items lost to a mid-stream backend fault
-  /// are re-scored individually through the failover path, so a killed
-  /// shard degrades throughput, never correctness.
-  std::string HandleCatalog(const std::string& line, int64_t user) {
-    const int64_t num_users = router_->fleet_users_.load();
+  /// Reads one whole answer to `req`: a single line, or for a catalog the
+  /// `#catalog` header and every item line, returned only once all have
+  /// arrived. The header must name this user and the fleet's item count, and
+  /// item line k must start `user \t k \t`; anything else means the stream
+  /// lost alignment, so the link is closed and nothing is relayed.
+  Result<std::string> ReadAnswer(BackendLink& link, const Request& req) {
+    auto head = link.ReadLine();
+    if (!head.ok()) return head.status();
+    std::string out = std::move(head).ValueOrDie() + "\n";
+    if (req.type != Request::Type::kCatalog || IsErrorLine(out)) return out;
     const int64_t num_items = router_->fleet_items_.load();
-    if (user < 0 || user >= num_users) {
-      // Relay to the home shard so the range error is byte-identical to
-      // direct serving.
-      auto resp = RouteLine(line, user, /*retry_overload=*/false);
-      return resp.ok() ? resp.value() + "\n"
-                       : FormatError("upstream", resp.status().message());
+    if (out != FormatCatalogHeader(req.user, num_items)) {
+      link.Close();
+      return Status::Internal("catalog header does not match the fleet: " +
+                              out.substr(0, out.size() - 1));
     }
-    const std::vector<int> serving = router_->ServingBackends();
-    if (serving.empty()) {
-      router_->upstream_errors_.fetch_add(1);
-      Inc(router_->m_upstream_errors_);
-      return FormatError("upstream", "no serving backends");
+    const std::string user_prefix = std::to_string(req.user) + "\t";
+    for (int64_t item = 0; item < num_items; ++item) {
+      auto item_line = link.ReadLine();
+      if (!item_line.ok()) return item_line.status();
+      if (!common::StartsWith(item_line.value(),
+                              user_prefix + std::to_string(item) + "\t")) {
+        link.Close();
+        return Status::Internal("catalog line " + std::to_string(item) +
+                                " is misaligned: " + item_line.value());
+      }
+      out += item_line.value();
+      out += '\n';
     }
-    router_->fanouts_.fetch_add(1);
-    Inc(router_->m_fanouts_);
-
-    const int64_t shards = static_cast<int64_t>(serving.size());
-    auto slice_lo = [&](int64_t s) { return s * num_items / shards; };
-
-    // Phase 1: pipeline each shard its slice. All slices are in flight
-    // before any response is read, so the fan-out overlaps across shards
-    // without the router needing threads of its own.
-    std::vector<bool> broken(serving.size(), false);
-    for (int64_t s = 0; s < shards; ++s) {
-      std::string wire;
-      for (int64_t item = slice_lo(s); item < slice_lo(s + 1); ++item) {
-        wire += std::to_string(user) + "\t" + std::to_string(item) + "\n";
-      }
-      if (wire.empty()) continue;
-      if (!Link(serving[static_cast<size_t>(s)]).Send(wire).ok()) {
-        broken[static_cast<size_t>(s)] = true;
-      }
-    }
-
-    // Phase 2: collect responses slice by slice, in item order. A transport
-    // fault or a misaligned line condemns the slice's link and queues its
-    // remaining items for individual re-scoring; an overload answer queues
-    // just that item.
-    std::vector<std::string> lines(static_cast<size_t>(num_items));
-    std::vector<int64_t> missing;
-    for (int64_t s = 0; s < shards; ++s) {
-      const int k = serving[static_cast<size_t>(s)];
-      bool slice_dead = broken[static_cast<size_t>(s)];
-      for (int64_t item = slice_lo(s); item < slice_lo(s + 1); ++item) {
-        if (slice_dead) {
-          missing.push_back(item);
-          continue;
-        }
-        auto resp = Link(k).ReadLine();
-        if (!resp.ok()) {
-          slice_dead = true;
-          missing.push_back(item);
-          continue;
-        }
-        const std::string& got = resp.value();
-        if (IsErrorLine(got)) {
-          missing.push_back(item);
-          continue;
-        }
-        // Responses carry their ids: a line that is not for this item means
-        // the stream lost alignment — never serve it, close the link.
-        const std::string expect =
-            std::to_string(user) + "\t" + std::to_string(item) + "\t";
-        if (!common::StartsWith(got, expect)) {
-          Link(k).Close();
-          slice_dead = true;
-          missing.push_back(item);
-          continue;
-        }
-        lines[static_cast<size_t>(item)] = got + "\n";
-      }
-    }
-
-    // Phase 3: re-score everything missing through the failover path.
-    for (const int64_t item : missing) {
-      const std::string pair_line =
-          std::to_string(user) + "\t" + std::to_string(item);
-      auto resp = RouteLine(pair_line, user, /*retry_overload=*/true);
-      if (!resp.ok()) {
-        return FormatError("upstream", resp.status().message());
-      }
-      if (IsErrorLine(resp.value())) {
-        // A persistent per-item error poisons the whole catalog — answer it
-        // as one unit, like a direct backend would, instead of serving a
-        // torn catalog.
-        return resp.value() + "\n";
-      }
-      lines[static_cast<size_t>(item)] = resp.value() + "\n";
-    }
-
-    std::string out = FormatCatalogHeader(user, num_items);
-    for (const std::string& l : lines) out += l;
     return out;
   }
 
@@ -575,12 +467,16 @@ class Router::Session {
       return FormatError("reload", first_error.ToString());
     }
 
+    // The fleet takes its fingerprint and corpus bounds from the same
+    // STATS line: a checkpoint on a larger corpus moves both.
     uint64_t target = 0;
     std::vector<Result<StatsLine>> stats;
     for (size_t i = 0; i < live.size(); ++i) {
       stats.push_back(QueryStats(Link(live[i])));
       if (target == 0 && reloaded[i] && stats.back().ok()) {
         target = stats.back().value().fingerprint;
+        router_->fleet_users_.store(stats.back().value().users);
+        router_->fleet_items_.store(stats.back().value().items);
       }
     }
     // Quarantine divergers; publish the new fleet fingerprint.
@@ -704,11 +600,8 @@ Result<std::unique_ptr<Router>> Router::Start(const RouterOptions& options) {
   if (options.enable_metrics) {
     metrics = std::make_unique<obs::MetricsRegistry>();
   }
-  ConsistentRing ring(static_cast<int>(options.backends.size()),
-                      options.virtual_nodes);
-  std::unique_ptr<Router> router(
-      new Router(options, std::move(ring), std::move(listener).ValueOrDie(),
-                 std::move(metrics)));
+  std::unique_ptr<Router> router(new Router(
+      options, std::move(listener).ValueOrDie(), std::move(metrics)));
   for (size_t k = 0; k < options.backends.size(); ++k) {
     router->backends_[k]->fingerprint.store(probed[k].fingerprint);
     router->backends_[k]->generation.store(probed[k].generation);
@@ -728,10 +621,9 @@ Result<std::unique_ptr<Router>> Router::Start(const RouterOptions& options) {
   return router;
 }
 
-Router::Router(const RouterOptions& options, ConsistentRing ring,
-               Socket listener, std::unique_ptr<obs::MetricsRegistry> metrics)
+Router::Router(const RouterOptions& options, Socket listener,
+               std::unique_ptr<obs::MetricsRegistry> metrics)
     : options_(options),
-      ring_(std::move(ring)),
       metrics_(std::move(metrics)),
       lines_(std::move(listener), {.max_connections = options.max_connections,
                                    .read_timeout_ms = options.read_timeout_ms,
@@ -759,7 +651,7 @@ Router::Router(const RouterOptions& options, ConsistentRing ring,
         "requests that exhausted every replica");
     m_fanouts_ = metrics_->GetCounter(
         "rrre_router_fanouts_total",
-        "catalog requests fanned out across the fleet");
+        "catalog requests routed to a home shard");
     m_reload_barriers_ = metrics_->GetCounter(
         "rrre_router_reload_barriers_total",
         "rolling reload barriers orchestrated");

@@ -8,7 +8,6 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/socket.h"
@@ -18,32 +17,13 @@
 
 namespace rrre::serve {
 
-/// Consistent-hash ring over backend indices: each backend contributes
-/// `virtual_nodes` points, a user id hashes to a position, and the backends
-/// encountered walking clockwise from that position (first occurrence of
-/// each index) form the user's deterministic preference order — home shard
-/// first, replicas after. That order is what the ring gives the router: a
-/// deterministic home shard per user and a fixed replica walk for failover.
-/// Adding or removing one backend moves only the keys whose arc it owned
-/// (~1/N of them); shards hold no per-user state (every shard serves from a
-/// full tower store), so nothing depends on that stability today.
-class ConsistentRing {
- public:
-  ConsistentRing(int num_backends, int virtual_nodes);
-
-  /// Every backend index exactly once, in ring-walk order from `user`'s
-  /// position. The first entry is the home shard.
-  std::vector<int> PreferenceOrder(int64_t user) const;
-
-  int Owner(int64_t user) const { return PreferenceOrder(user)[0]; }
-
-  int num_backends() const { return num_backends_; }
-
- private:
-  int num_backends_;
-  /// (point, backend index), sorted by point.
-  std::vector<std::pair<uint64_t, int>> points_;
-};
+/// Rendezvous (highest-random-weight) placement: every backend index in
+/// `[0, num_backends)` exactly once, ordered by a per-(user, backend) hash,
+/// highest first. The first entry is `user`'s home shard and the rest its
+/// failover order. A backend's weight for a user does not depend on the
+/// fleet size, so adding a backend moves only the users it now wins (about
+/// 1/N of them), and a dead shard's users spread over all the others.
+std::vector<int> PreferenceOrder(int64_t user, int num_backends);
 
 /// Configuration of the rrre_routed proxy.
 struct RouterOptions {
@@ -64,16 +44,13 @@ struct RouterOptions {
   int backend_timeout_ms = 5000;
   /// Read deadline on client connections; 0 = none (same as ServerOptions).
   int read_timeout_ms = 0;
-  /// Failover attempts beyond the first try, walking the user's ring
-  /// preference order with equal-jitter backoff (loadgen's BackoffUs)
-  /// between attempts.
+  /// Failover attempts beyond the first try, walking the user's preference
+  /// order with equal-jitter backoff (loadgen's BackoffUs) between attempts.
   int64_t max_retries = 2;
   int64_t backoff_base_us = 500;
   int64_t backoff_cap_us = 50000;
   /// Health-check cadence: PING liveness + STATS fingerprint per backend.
   int health_period_ms = 200;
-  /// Ring points per backend.
-  int virtual_nodes = 64;
   /// When true the router owns a MetricsRegistry and answers METRICS with
   /// its own counters followed by every serving backend's exposition,
   /// relabeled with a per-shard label.
@@ -90,25 +67,26 @@ struct RouterStats {
   int64_t retries = 0;       ///< Backend round-trips retried after a fault.
   int64_t failovers = 0;     ///< Requests answered by a non-home shard.
   int64_t upstream_errors = 0;  ///< Requests that exhausted every replica.
-  int64_t fanouts = 0;       ///< Catalog requests fanned out across shards.
+  int64_t fanouts = 0;       ///< Catalog requests routed.
   int64_t reload_barriers = 0;  ///< Rolling reloads orchestrated.
   int64_t quarantined = 0;   ///< Backends currently fingerprint-diverged.
 };
 
 /// The rrre_routed sharding proxy: a thin line-protocol front-end, on the
-/// same LineServer as rrre_served, that consistent-hashes users across N
-/// rrre_served backends, fans bare-user catalog requests out to every
-/// serving shard (contiguous item slices, merged back in item order),
-/// health-checks backends via PING, fails requests over to a replica on
-/// connection reset / EOF / deadline, and orchestrates rolling RELOADs
-/// behind a params-fingerprint barrier so no client connection ever
+/// same LineServer as rrre_served, that places users on N rrre_served
+/// backends by rendezvous hashing, sends each pair or bare-user catalog
+/// request whole to the user's home shard, health-checks backends via PING,
+/// fails requests over to the next shard in the user's order on connection
+/// reset / EOF / deadline or a misaligned answer, and orchestrates rolling
+/// RELOADs behind a params-fingerprint barrier so no client connection ever
 /// observes two parameter versions.
 ///
-/// Response bytes are relayed (or, for catalog fan-out, reassembled from
-/// per-pair relays) verbatim, so a routed response is byte-identical to the
-/// same request served by a single direct backend — scoring is
-/// batch-composition invariant, which is what makes slicing a catalog
-/// across shards safe.
+/// Response bytes are relayed verbatim, so a routed response is
+/// byte-identical to the same request served by a single direct backend. A
+/// catalog answer is relayed only once its header and every item line have
+/// arrived and checked out (header for this user and the fleet's item count,
+/// line k starting `user \t k \t`); a torn or misaligned catalog closes the
+/// link and the whole catalog is retried on the next shard.
 ///
 /// Retry policy and idempotency: pair/catalog scoring, PING, STATS and
 /// METRICS are idempotent, so a request that *may* have reached a backend
@@ -149,9 +127,12 @@ class Router {
   /// last reload barrier.
   uint64_t fleet_fingerprint() const { return fleet_fingerprint_.load(); }
 
-  /// Home shard of `user` on the ring (ignores health; tests use this to
-  /// pick which backend to kill).
-  int HomeShard(int64_t user) const { return ring_.Owner(user); }
+  /// Home shard of `user`: the first entry of its PreferenceOrder (ignores
+  /// health; tests use this to pick which backend to kill).
+  int HomeShard(int64_t user) const {
+    return PreferenceOrder(user,
+                           static_cast<int>(options_.backends.size()))[0];
+  }
 
   /// True when backend `index` is alive and not quarantined.
   bool BackendServing(int index) const;
@@ -160,13 +141,12 @@ class Router {
   class Session;
   struct BackendState;
 
-  Router(const RouterOptions& options, ConsistentRing ring,
-         common::Socket listener,
+  Router(const RouterOptions& options, common::Socket listener,
          std::unique_ptr<obs::MetricsRegistry> metrics);
 
   void HealthLoop();
-  /// One health pass: PING + STATS every backend, refresh fleet bounds,
-  /// quarantine fingerprint divergers.
+  /// One health pass: PING + STATS every backend, record liveness,
+  /// fingerprint and generation, quarantine fingerprint divergers.
   void HealthPass();
   std::string FormatStatsLine() const;
 
@@ -174,7 +154,6 @@ class Router {
   std::vector<int> ServingBackends() const;
 
   const RouterOptions options_;
-  const ConsistentRing ring_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* m_requests_ = nullptr;
   obs::Counter* m_parse_errors_ = nullptr;
@@ -187,7 +166,8 @@ class Router {
   obs::Gauge* m_quarantined_ = nullptr;
 
   std::vector<std::unique_ptr<BackendState>> backends_;
-  /// Corpus bounds the fleet agreed on (refreshed by health passes).
+  /// Corpus bounds the fleet agreed on: set at startup and by each rolling
+  /// reload, from the STATS line that sets the fleet fingerprint.
   std::atomic<int64_t> fleet_users_{0};
   std::atomic<int64_t> fleet_items_{0};
   std::atomic<uint64_t> fleet_fingerprint_{0};

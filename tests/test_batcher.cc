@@ -357,6 +357,79 @@ TEST_F(MicroBatcherTest, ReloadSwapsSnapshotAndBumpsGeneration) {
                    reference.ratings[0]);
 }
 
+TEST_F(MicroBatcherTest, ReloadOntoASecondCheckpointServesItsScores) {
+  // A reload onto different parameters must serve them: a reload that kept
+  // computing the snapshot's store from the old trainer would still answer
+  // A's scores here.
+  Rng rng_b(99);
+  const data::ReviewDataset corpus_b =
+      data::GenerateSyntheticDataset(data::YelpChiProfile(0.05), rng_b);
+  core::RrreTrainer trainer_b(TinyConfig());
+  trainer_b.Fit(corpus_b);
+  const std::string prefix_b = ::testing::TempDir() + "/batcher_ckpt_b_" +
+                               std::to_string(::getpid());
+  ASSERT_TRUE(trainer_b.Save(prefix_b).ok());
+  core::RrreTrainer loaded_b(TinyConfig());
+  ASSERT_TRUE(loaded_b.Load(prefix_b).ok());
+  core::BatchScorer scorer_b(&loaded_b);
+
+  MicroBatcher batcher(LoadTrainer(), MicroBatcher::Options{});
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  Status reload_status = Status::Ok();
+  batcher.RequestReload(prefix_b, [&](const Status& s, int64_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    reload_status = s;
+    done = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(
+        cv.wait_for(lock, std::chrono::seconds(30), [&] { return done; }));
+  }
+  ASSERT_TRUE(reload_status.ok()) << reload_status.ToString();
+  EXPECT_EQ(batcher.generation(), 1);
+
+  Completions completions;
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(batcher.TrySubmit(
+        3, i == 0 ? 2 : MicroBatcher::kCatalogItem,
+        [&completions, i](const Status& status,
+                          const std::vector<MicroBatcher::ScoredPair>& r) {
+          completions.Add(i, status, r);
+        }));
+  }
+  ASSERT_TRUE(completions.WaitFor(2));
+  const auto pair = completions.slot(0);
+  ASSERT_TRUE(pair.status.ok()) << pair.status.ToString();
+  ASSERT_EQ(pair.results.size(), 1u);
+  const auto pair_b = scorer_b.Score({{3, 2}});
+  const auto pair_a = reference_scorer_->Score({{3, 2}});
+  EXPECT_EQ(pair.results[0].rating, pair_b.ratings[0]);
+  EXPECT_EQ(pair.results[0].reliability, pair_b.reliabilities[0]);
+  EXPECT_NE(pair.results[0].rating, pair_a.ratings[0]);
+
+  const auto catalog = completions.slot(1);
+  ASSERT_TRUE(catalog.status.ok()) << catalog.status.ToString();
+  const auto catalog_b = scorer_b.ScoreAllItemsForUser(3);
+  const auto catalog_a = reference_scorer_->ScoreAllItemsForUser(3);
+  ASSERT_EQ(catalog.results.size(), catalog_b.ratings.size());
+  bool differs_from_a = false;
+  for (size_t i = 0; i < catalog.results.size(); ++i) {
+    EXPECT_EQ(catalog.results[i].item, static_cast<int64_t>(i));
+    EXPECT_EQ(catalog.results[i].rating, catalog_b.ratings[i]) << i;
+    EXPECT_EQ(catalog.results[i].reliability, catalog_b.reliabilities[i]) << i;
+    differs_from_a |= catalog.results[i].rating != catalog_a.ratings[i];
+  }
+  EXPECT_TRUE(differs_from_a);
+  for (const char* suffix :
+       {".model", ".vocab", ".train.tsv", ".meta", ".optimizer"}) {
+    std::remove((prefix_b + suffix).c_str());
+  }
+}
+
 TEST_F(MicroBatcherTest, FailedReloadKeepsServingOldSnapshot) {
   MicroBatcher batcher(LoadTrainer(), MicroBatcher::Options{});
   std::mutex mu;

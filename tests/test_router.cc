@@ -1,10 +1,11 @@
 // Fault-injection and correctness tests of the rrre_routed sharding proxy:
-// consistent-ring determinism, routed-vs-direct byte identity (pairs,
-// catalogs, protocol errors), replica failover with a shard killed
-// mid-stream, injected transport faults on every router.backend.* seam,
-// rolling-reload barrier invariants, fingerprint quarantine, METRICS
-// aggregation, and the client connection limit, read deadline and line
-// bound. This suite runs under ASan and TSan in tools/check.sh.
+// rendezvous placement, routed-vs-direct byte identity (pairs, catalogs sent
+// whole to each home shard, protocol errors), replica failover with a shard
+// killed mid-stream, injected transport faults on every router.backend.*
+// seam (inside a catalog's answer too), rolling-reload barrier invariants
+// and fleet bounds, fingerprint quarantine, METRICS aggregation, and the
+// client connection limit, read deadline and line bound. This suite runs
+// under ASan and TSan in tools/check.sh.
 
 #include <gtest/gtest.h>
 
@@ -60,10 +61,15 @@ core::RrreConfig TinyConfig() {
 /// Minimal blocking line-protocol client (same shape as test_served's).
 class Client {
  public:
-  explicit Client(uint16_t port) {
+  /// `recv_timeout_ms` > 0 bounds each read, so an answer that never comes
+  /// fails the read instead of hanging the test.
+  explicit Client(uint16_t port, int recv_timeout_ms = 0) {
     auto socket = Socket::Connect("127.0.0.1", port);
     RRRE_CHECK_OK(socket.status());
     socket_ = std::move(socket).ValueOrDie();
+    if (recv_timeout_ms > 0) {
+      RRRE_CHECK_OK(socket_.SetRecvTimeout(recv_timeout_ms));
+    }
     reader_ = std::make_unique<common::LineReader>(&socket_);
   }
 
@@ -79,6 +85,18 @@ class Client {
     auto line = ReadLine();
     RRRE_CHECK(line.has_value()) << "unexpected EOF from router";
     return *line;
+  }
+
+  /// Up to `n` lines, stopping at the first failed read (EOF, or a passed
+  /// receive deadline).
+  std::vector<std::string> TryReadLines(size_t n) {
+    std::vector<std::string> lines;
+    while (lines.size() < n) {
+      auto line = reader_->ReadLine();
+      if (!line.ok() || !line.value().has_value()) break;
+      lines.push_back(std::move(*line.value()));
+    }
+    return lines;
   }
 
  private:
@@ -97,49 +115,44 @@ bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 20000) {
 }
 
 // ---------------------------------------------------------------------------
-// ConsistentRing unit tests (no servers involved)
+// Placement unit tests (no servers involved)
 // ---------------------------------------------------------------------------
 
-TEST(ConsistentRingTest, PreferenceOrderIsACompletePermutationAndStable) {
-  const ConsistentRing ring(5, 64);
-  const ConsistentRing twin(5, 64);
+TEST(PlacementTest, PreferenceOrderIsACompletePermutationAndStable) {
   for (int64_t user = 0; user < 200; ++user) {
-    const std::vector<int> order = ring.PreferenceOrder(user);
+    const std::vector<int> order = PreferenceOrder(user, 5);
     ASSERT_EQ(order.size(), 5u) << "user " << user;
     EXPECT_EQ(std::set<int>(order.begin(), order.end()).size(), 5u)
         << "user " << user;
-    // Deterministic: same ring parameters, same order — across instances,
-    // which is what lets a restarted router route identically.
-    EXPECT_EQ(order, twin.PreferenceOrder(user)) << "user " << user;
-    EXPECT_EQ(ring.Owner(user), order[0]);
+    // Deterministic: a pure function of (user, fleet size), which is what
+    // lets a restarted router route identically.
+    EXPECT_EQ(order, PreferenceOrder(user, 5)) << "user " << user;
   }
 }
 
-TEST(ConsistentRingTest, EveryBackendOwnsASliceOfTheKeySpace) {
-  const ConsistentRing ring(4, 64);
+TEST(PlacementTest, EveryBackendOwnsASliceOfTheKeySpace) {
   std::vector<int64_t> owned(4, 0);
   constexpr int64_t kUsers = 2000;
   for (int64_t user = 0; user < kUsers; ++user) {
-    ++owned[static_cast<size_t>(ring.Owner(user))];
+    ++owned[static_cast<size_t>(PreferenceOrder(user, 4)[0])];
   }
   for (int b = 0; b < 4; ++b) {
-    // With 64 vnodes the split is coarse but nobody should starve or hog.
+    // Nobody should starve or hog.
     EXPECT_GT(owned[static_cast<size_t>(b)], kUsers / 20) << "backend " << b;
     EXPECT_LT(owned[static_cast<size_t>(b)], kUsers / 2) << "backend " << b;
   }
 }
 
-TEST(ConsistentRingTest, GrowingTheFleetOnlyMovesKeysToTheNewBackend) {
-  // Ring points depend only on (backend, vnode), so going 4 -> 5 backends
-  // inserts backend 4's points and steals only their arcs: every key either
-  // keeps its old home or moves to the new backend, roughly 1/5 of them.
-  const ConsistentRing before(4, 64);
-  const ConsistentRing after(5, 64);
+TEST(PlacementTest, GrowingTheFleetOnlyMovesKeysToTheNewBackend) {
+  // A backend's weight for a user depends only on (user, backend), so going
+  // 4 -> 5 backends adds backend 4's weights and changes no other: every key
+  // either keeps its old home or moves to the new backend, roughly 1/5 of
+  // them.
   constexpr int64_t kUsers = 2000;
   int64_t moved = 0;
   for (int64_t user = 0; user < kUsers; ++user) {
-    const int old_home = before.Owner(user);
-    const int new_home = after.Owner(user);
+    const int old_home = PreferenceOrder(user, 4)[0];
+    const int new_home = PreferenceOrder(user, 5)[0];
     if (new_home != old_home) {
       EXPECT_EQ(new_home, 4) << "user " << user
                              << " moved between pre-existing backends";
@@ -148,6 +161,24 @@ TEST(ConsistentRingTest, GrowingTheFleetOnlyMovesKeysToTheNewBackend) {
   }
   EXPECT_GT(moved, 0);
   EXPECT_LT(moved, kUsers / 2);  // Nothing close to a full reshuffle.
+}
+
+TEST(PlacementTest, ADeadShardsUsersSpreadOverEveryOtherShard) {
+  // Failover takes a user's second choice: the users homed on backend 0
+  // must not all land on one survivor when it dies.
+  constexpr int64_t kUsers = 2000;
+  std::vector<int64_t> second(4, 0);
+  int64_t homed = 0;
+  for (int64_t user = 0; user < kUsers; ++user) {
+    const std::vector<int> order = PreferenceOrder(user, 4);
+    if (order[0] != 0) continue;
+    ++homed;
+    ++second[static_cast<size_t>(order[1])];
+  }
+  ASSERT_GT(homed, 0);
+  for (int b = 1; b < 4; ++b) {
+    EXPECT_GT(second[static_cast<size_t>(b)], homed / 10) << "backend " << b;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -362,17 +393,30 @@ TEST_F(RouterTest, RoutedPairsAreByteIdenticalToDirectServing) {
   EXPECT_EQ(router->stats().failovers, 0);
 }
 
-TEST_F(RouterTest, CatalogFanOutReassemblesByteIdentically) {
+TEST_F(RouterTest, CatalogsGoWholeToEachHomeShardByteIdentically) {
   auto fleet = StartFleet(3);
   auto router = StartRouter(RoutedOptions(fleet));
   Client client(router->port());
-  const std::vector<std::string> expected =
-      ExpectedCatalog(ref_scorer_a_, 3, corpus_->num_items());
-  client.Send("3\n");
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(client.MustReadLine(), expected[i]) << "line " << i;
+  // One catalog for a user homed on each shard: each shard scores exactly
+  // the one catalog homed on it, as one request.
+  for (int shard = 0; shard < 3; ++shard) {
+    int64_t user = 0;
+    while (router->HomeShard(user) != shard) ++user;
+    ASSERT_LT(user, corpus_->num_users()) << "shard " << shard;
+    const std::vector<std::string> expected =
+        ExpectedCatalog(ref_scorer_a_, user, corpus_->num_items());
+    client.Send(std::to_string(user) + "\n");
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(client.MustReadLine(), expected[i])
+          << "user " << user << " line " << i;
+    }
   }
-  EXPECT_EQ(router->stats().fanouts, 1);
+  for (int shard = 0; shard < 3; ++shard) {
+    EXPECT_EQ(fleet[static_cast<size_t>(shard)]->stats().batcher.submitted, 1)
+        << "shard " << shard;
+  }
+  EXPECT_EQ(router->stats().fanouts, 3);
+  EXPECT_EQ(router->stats().failovers, 0);
   EXPECT_EQ(router->stats().upstream_errors, 0);
 }
 
@@ -424,49 +468,72 @@ TEST_F(RouterTest, CatalogSurvivesAKilledShardMidFanout) {
   auto fleet = StartFleet(3);
   auto router = StartRouter(RoutedOptions(fleet));
   Client client(router->port());
-  // Prime the fan-out path once so the routed connection holds live links to
-  // every shard, then kill one: the next fan-out loses an in-flight slice
-  // (EOF mid-slice) and must recover it item by item.
+  // A warm-up catalog opens the routed connection's link to the user's home
+  // shard; then that shard dies, and the next catalog must fail over whole
+  // to the next shard in the user's order.
+  constexpr int64_t kUser = 5;
   const std::vector<std::string> expected =
-      ExpectedCatalog(ref_scorer_a_, 5, corpus_->num_items());
-  client.Send("5\n");
+      ExpectedCatalog(ref_scorer_a_, kUser, corpus_->num_items());
+  client.Send(std::to_string(kUser) + "\n");
   for (size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(client.MustReadLine(), expected[i]) << "warmup line " << i;
   }
-  fleet[2]->Shutdown();
-  client.Send("5\n");
+  fleet[static_cast<size_t>(router->HomeShard(kUser))]->Shutdown();
+  client.Send(std::to_string(kUser) + "\n");
   for (size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(client.MustReadLine(), expected[i]) << "line " << i;
   }
+  EXPECT_GE(router->stats().failovers, 1);
   EXPECT_EQ(router->stats().upstream_errors, 0);
 }
 
 TEST_F(RouterTest, InjectedTransportFaultsOnEverySeamFailOver) {
-  // Each router.backend.* seam, armed to fire once, must cost at most a
-  // retry — never a wrong or missing response. The seams cover the fault
-  // taxonomy: never-sent, reset-after-send (maybe delivered), stalled
-  // awaiting the response, and a response torn mid-line.
+  // Each router.backend.* seam, armed to fire once, must cost one retry —
+  // never a wrong or missing response. The seams cover the fault taxonomy:
+  // never-sent, reset-after-send (maybe delivered), stalled awaiting the
+  // response, and a response torn mid-line. Each seam fires once in the
+  // first pair, then once inside a catalog: at its send, or past the two
+  // pairs' reads and the header, so the whole catalog is retried.
   auto fleet = StartFleet(2);
   RouterOptions options = RoutedOptions(fleet);
   options.backend_timeout_ms = 2000;
   auto router = StartRouter(options);
-  for (const char* seam :
-       {"router.backend.send", "router.backend.reset", "router.backend.stall",
-        "router.backend.torn"}) {
-    SCOPED_TRACE(seam);
+  const int64_t num_items = corpus_->num_items();
+  const std::vector<std::string> catalog =
+      ExpectedCatalog(ref_scorer_a_, 4, num_items);
+  // Each request is one send and each answer line one read, in order: sends
+  // 0 and 1 and reads 0 and 1 are the pairs', send 2 is the catalog's, read
+  // 2 its header and read 3 + k its item line k.
+  struct Arming {
+    const char* seam;
+    int64_t after;
+  };
+  const Arming armings[] = {
+      {"router.backend.send", 0},  {"router.backend.send", 2},
+      {"router.backend.reset", 0}, {"router.backend.reset", 2},
+      {"router.backend.stall", 0}, {"router.backend.stall", 3 + num_items / 2},
+      {"router.backend.torn", 0},  {"router.backend.torn", 3 + num_items / 2},
+  };
+  for (const Arming& arming : armings) {
+    SCOPED_TRACE(std::string(arming.seam) + " after " +
+                 std::to_string(arming.after));
     common::failpoint::Config config;
+    config.after = arming.after;
     config.count = 1;
-    common::failpoint::Arm(seam, config);
+    common::failpoint::Arm(arming.seam, config);
+    const int64_t retries_before = router->stats().retries;
     Client client(router->port());
-    client.Send("1\t2\n2\t3\n");
+    client.Send("1\t2\n2\t3\n4\n");
     EXPECT_EQ(client.MustReadLine(), ExpectedScoreLine(1, 2));
     EXPECT_EQ(client.MustReadLine(), ExpectedScoreLine(2, 3));
-    EXPECT_EQ(common::failpoint::FireCount(seam), 1) << seam;
+    for (size_t i = 0; i < catalog.size(); ++i) {
+      ASSERT_EQ(client.MustReadLine(), catalog[i]) << "catalog line " << i;
+    }
+    EXPECT_EQ(common::failpoint::FireCount(arming.seam), 1);
+    EXPECT_EQ(router->stats().retries, retries_before + 1);
     common::failpoint::DisarmAll();
   }
-  const RouterStats stats = router->stats();
-  EXPECT_GE(stats.retries, 4);  // One per injected fault.
-  EXPECT_EQ(stats.upstream_errors, 0);
+  EXPECT_EQ(router->stats().upstream_errors, 0);
 }
 
 TEST_F(RouterTest, ExhaustedReplicasAnswerAnUpstreamError) {
@@ -534,11 +601,66 @@ TEST_F(RouterTest, RollingReloadSwitchesTheFleetBehindTheBarrier) {
   }
 }
 
+TEST_F(RouterTest, RollingReloadOntoALargerCorpusMovesTheFleetBounds) {
+  // A roll onto a checkpoint trained on a larger corpus moves the fleet's
+  // user and item bounds with its fingerprint: router STATS reports them,
+  // catalogs for a new user and an old one carry every new item, and the
+  // connection stays aligned for the pair after them. Reads carry a
+  // deadline, so a catalog the router cuts short fails instead of hanging.
+  Rng rng_c(41);
+  const data::ReviewDataset corpus_c =
+      data::GenerateSyntheticDataset(data::YelpChiProfile(0.08), rng_c);
+  ASSERT_GT(corpus_c.num_users(), corpus_->num_users());
+  ASSERT_GT(corpus_c.num_items(), corpus_->num_items());
+  core::RrreTrainer trainer_c(TinyConfig());
+  trainer_c.Fit(corpus_c);
+  const std::string prefix = ::testing::TempDir() + "/router_grow_ckpt_" +
+                             std::to_string(::getpid());
+  ASSERT_TRUE(ref_trainer_a_->Save(prefix).ok());
+  std::vector<std::unique_ptr<Server>> fleet;
+  fleet.push_back(StartBackend(prefix));
+  fleet.push_back(StartBackend(prefix));
+  auto router = StartRouter(RoutedOptions(fleet));
+  ASSERT_TRUE(trainer_c.Save(prefix).ok());
+  core::RrreTrainer loaded_c(TinyConfig());
+  ASSERT_TRUE(loaded_c.Load(prefix).ok());
+  core::BatchScorer scorer_c(&loaded_c);
+
+  Client client(router->port(), /*recv_timeout_ms=*/5000);
+  client.Send("RELOAD\nSTATS\n");
+  const std::vector<std::string> rolled = client.TryReadLines(2);
+  ASSERT_EQ(rolled.size(), 2u);
+  EXPECT_EQ(rolled[0].find("#reloaded\t"), 0u) << rolled[0];
+  const auto stats = ParseStatsLine(rolled[1]);
+  ASSERT_TRUE(stats.ok()) << rolled[1];
+  EXPECT_EQ(stats.value().users, corpus_c.num_users()) << rolled[1];
+  EXPECT_EQ(stats.value().items, corpus_c.num_items()) << rolled[1];
+
+  for (const int64_t user : {corpus_->num_users(), int64_t{3}}) {
+    const std::vector<std::string> expected =
+        ExpectedCatalog(&scorer_c, user, corpus_c.num_items());
+    client.Send(std::to_string(user) + "\n");
+    EXPECT_EQ(client.TryReadLines(expected.size()), expected)
+        << "user " << user;
+  }
+  const auto preds = scorer_c.Score({{1, 2}});
+  std::string expected_pair =
+      FormatScoreLine(1, 2, preds.ratings[0], preds.reliabilities[0]);
+  expected_pair.pop_back();
+  client.Send("1\t2\n");
+  EXPECT_EQ(client.TryReadLines(1), std::vector<std::string>{expected_pair});
+  router->Shutdown();
+  for (const char* suffix :
+       {".model", ".vocab", ".train.tsv", ".meta", ".optimizer"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
 TEST_F(RouterTest, NoCatalogObservesTwoParameterVersionsDuringAReload) {
   // The barrier invariant, attacked: one client hammers full-catalog
   // requests while another rolls the fleet from A to B. Every catalog
   // response must be *entirely* A or *entirely* B — a mixed catalog means a
-  // connection observed two parameter versions mid-fan-out.
+  // connection observed two parameter versions within one answer.
   const std::string prefix = ::testing::TempDir() + "/router_mix_ckpt_" +
                              std::to_string(::getpid());
   ASSERT_TRUE(ref_trainer_a_->Save(prefix).ok());

@@ -176,13 +176,13 @@ else
   cmake -B build-asan -S . -DRRRE_SANITIZE=address >/dev/null
   require_build_dir build-asan
   cmake --build build-asan -j "$(nproc)" --target test_router >/dev/null
-  # The router label covers consistent-hash routing, replica failover on
+  # The router label covers rendezvous placement, replica failover on
   # every router.backend.* failpoint seam (never-sent, maybe-delivered,
-  # stall, torn response), catalog fan-out through a killed shard, the
-  # rolling-reload fingerprint barrier, the partial-failure roll (one
-  # shard's reload fails: the router answers at once, quarantines exactly
-  # that shard, and the next roll brings it back), and side-channel
-  # quarantine.
+  # stall, torn response; inside a catalog's answer too), a catalog whose
+  # home shard was killed, the rolling-reload fingerprint barrier and the
+  # fleet bounds a roll moves, the partial-failure roll (one shard's reload
+  # fails: the router answers at once, quarantines exactly that shard, and
+  # the next roll brings it back), and side-channel quarantine.
   # Failpoints are armed at runtime, so the ASan binaries exercise the
   # injected faults directly.
   (cd build-asan && ctest --output-on-failure --no-tests=error -L router)

@@ -2,18 +2,19 @@
 //
 //   rrre_routed --backends=127.0.0.1:7475,127.0.0.1:7476 --port=7474
 //               [--backend_timeout_ms=5000] [--retries=2]
-//               [--backoff_us=500] [--health_ms=200] [--vnodes=64]
+//               [--backoff_us=500] [--health_ms=200]
 //               [--max_connections=128] [--read_timeout_ms=0]
 //               [--metrics=true]
 //
-// Clients speak the exact rrre_served line protocol against the router; pair
-// requests are consistent-hashed to a home shard (failing over to replicas
-// on reset / EOF / deadline), bare-user catalog requests are fanned out
-// across every serving shard and reassembled byte-identically, and RELOAD
-// rolls the whole fleet behind a params-fingerprint barrier so no connection
-// ever observes two parameter versions. STATS reports fleet-level counters
-// (loadgen's bounds discovery works unchanged); METRICS merges the router's
-// own exposition with every shard's, relabeled shard="k".
+// Clients speak the exact rrre_served line protocol against the router. Pair
+// and bare-user catalog requests go whole to the user's home shard, placed
+// by rendezvous hashing, and fail over to the next shard in the user's order
+// on reset / EOF / deadline or a misaligned answer; a catalog is relayed only
+// once all its lines have arrived. RELOAD rolls the whole fleet behind a
+// params-fingerprint barrier so no connection ever observes two parameter
+// versions. STATS reports fleet-level counters (loadgen's bounds discovery
+// works unchanged); METRICS merges the router's own exposition with every
+// shard's, relabeled shard="k".
 //
 // At startup every backend must be reachable and agree on corpus bounds and
 // params fingerprint — a fleet already serving two parameter versions is
@@ -81,7 +82,6 @@ int main(int argc, char** argv) {
   flags.AddInt("retries", 2, "failover attempts beyond the first try");
   flags.AddInt("backoff_us", 500, "equal-jitter backoff base between retries");
   flags.AddInt("health_ms", 200, "health-check cadence per backend");
-  flags.AddInt("vnodes", 64, "consistent-hash ring points per backend");
   flags.AddInt("max_connections", 128, "concurrent client connection limit");
   flags.AddInt("read_timeout_ms", 0,
                "drop client connections idle past this deadline (0 = none)");
@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
   options.backoff_base_us = flags.GetInt("backoff_us");
   options.backoff_cap_us = options.backoff_base_us * 100;
   options.health_period_ms = static_cast<int>(flags.GetInt("health_ms"));
-  options.virtual_nodes = static_cast<int>(flags.GetInt("vnodes"));
   options.max_connections = flags.GetInt("max_connections");
   options.read_timeout_ms = static_cast<int>(flags.GetInt("read_timeout_ms"));
   options.enable_metrics = flags.GetBool("metrics");
@@ -145,7 +144,7 @@ int main(int argc, char** argv) {
   const serve::RouterStats stats = router.value()->stats();
   std::printf(
       "routed %lld requests over %lld connections "
-      "(%lld retries, %lld failovers, %lld fanouts, %lld upstream errors, "
+      "(%lld retries, %lld failovers, %lld catalogs, %lld upstream errors, "
       "%lld reload barriers)\n",
       static_cast<long long>(stats.requests),
       static_cast<long long>(stats.connections_accepted),
